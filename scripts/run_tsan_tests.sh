@@ -3,15 +3,15 @@
 # (docs/architecture_modes.md, docs/fault_injection.md).
 #
 # Builds the tree under -DCLOG_TSAN=ON in its own build directory and runs
-# the `execution`-labelled ctest suite — the cross-mode equivalence tests,
-# the real-mode crash drill, and the determinism pin — the tests that
-# actually put multiple threads through the executor, the mailbox network,
-# and the shared-state seams (metrics, trace sink, log manager) — followed
-# by the `restore`-labelled suite, whose real-mode half runs background
-# restore sweeper threads against foreground first-touch rebuilds — and
-# the `wal`-labelled suite, which hammers the lock-free WAL front end
-# (staging buffers, atomic LSN reservation, background drainer) with
-# multi-producer append/flush/abandon storms.
+# the `execution`-labelled ctest suite — the executor's run-token tests,
+# the cross-mode equivalence tests, the real-mode crash drill, and the
+# determinism pin — the tests that actually put multiple threads through
+# the executor, the mailbox network, and the shared-state seams (metrics,
+# trace sink, log manager) — followed by the `restore`-labelled suite,
+# whose real-mode half runs background restore sweeper threads against
+# foreground first-touch rebuilds — and the `wal`-labelled suite, which
+# hammers the WAL append path (appends serialized by the log mutex,
+# flush I/O outside it) with multi-producer append/flush/abandon storms.
 #
 # Usage: scripts/run_tsan_tests.sh [--build-dir=DIR] [--repeat=N]
 #   --repeat=N  run the suite N times (default 3): scheduler-dependent
@@ -66,9 +66,9 @@ ctest --test-dir "$BUILD_DIR" -L adaptive --output-on-failure
 echo "== ctest -L elastic under TSan"
 ctest --test-dir "$BUILD_DIR" -L elastic -R handoff_test --output-on-failure
 
-# WAL suite: producers publish records through lock-free staging rings
-# while the drainer assembles and a flusher forces the tail — the densest
-# atomics in the tree. TSan must see every append/drain/flush/abandon
+# WAL suite: several producers append to one log while a flusher forces
+# the tail with the log mutex released for the I/O, and a crash abandons
+# the log under both. TSan must see every append/flush/abandon
 # interleaving it can provoke.
 for i in $(seq 1 "$REPEAT"); do
   echo "== ctest -L wal under TSan (pass $i/$REPEAT)"

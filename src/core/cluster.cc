@@ -78,12 +78,6 @@ Result<Node*> Cluster::AddNode(std::optional<NodeOptions> overrides) {
   CLOG_RETURN_IF_ERROR(node->Start());
   executor_->StartNode(id);
   Node* raw = node.get();
-  // Real mode runs the lock-free WAL front end: appends go to per-thread
-  // staging buffers and a background drainer assembles them. Sim keeps the
-  // inline drain (deterministic, byte-identical schedules).
-  if (executor_->real_threads() && opts.has_local_log) {
-    raw->log().StartDrainer();
-  }
   nodes_[id] = std::move(node);
   return raw;
 }
@@ -115,9 +109,9 @@ Status Cluster::CrashNode(NodeId id) {
 void Cluster::HaltNode(Node* n) {
   if (n->state() == NodeState::kDown) return;
   if (executor_->real_threads()) {
-    // Peers must stop routing to the victim before its worker is joined:
-    // StopNode waits for the in-flight handler, and a peer that kept
-    // enqueueing against a full mailbox would deadlock the join.
+    // Peers must stop routing to the victim before its context stops:
+    // StopNode waits for the in-flight task, and a peer that kept
+    // enqueueing against a full mailbox would deadlock the wait.
     network_.SetNodeUp(n->id(), false);
     executor_->StopNode(n->id());
   }
@@ -229,17 +223,6 @@ Status Cluster::RestartNodes(const std::vector<NodeId>& ids) {
     RestartRecovery::Stats stats = e.rec->stats();
     if (stats.sim_ns == 0) stats.sim_ns = elapsed;
     recovery_stats_[e.id] = stats;
-  }
-
-  // Recovery itself appends inline (Open resets the log to inline mode;
-  // the phases run single-threaded per node). Once a node is operational
-  // again, real mode switches its WAL back to the lock-free front end.
-  if (executor_->real_threads()) {
-    for (const Entry& e : entries) {
-      if (e.abandoned) continue;
-      Node* n = node(e.id);
-      if (n->options().has_local_log) n->log().StartDrainer();
-    }
   }
 
   // Real mode: a node that came up with instant-restore work pending gets a
@@ -426,8 +409,9 @@ Status Cluster::RunTransaction(NodeId node_id,
                                const std::function<Status(TxnHandle&)>& body,
                                int max_attempts) {
   // The retry loop calls straight into Node, so in real-threads mode the
-  // whole attempt sequence hops onto the node's own worker; client threads
-  // block here until their transaction resolves.
+  // whole attempt sequence runs in the node's execution context: on this
+  // thread when the node is idle, else queued for the thread that holds
+  // the node's run token.
   Status out;
   CLOG_RETURN_IF_ERROR(Execute(
       node_id, [&] { out = RunTransactionImpl(node_id, body, max_attempts); }));

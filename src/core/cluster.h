@@ -40,8 +40,8 @@ struct ClusterOptions {
   /// Execution backend (docs/architecture_modes.md). kSimulation (the
   /// default) is the deterministic single-threaded engine on a SimClock —
   /// every pre-existing test and bench runs unchanged. kRealThreads gives
-  /// each node a worker thread, a mutex-guarded mailbox network, a wall
-  /// clock, and real fsync latencies on log force.
+  /// each node a run token and a worker thread, a mutex-guarded mailbox
+  /// network, a wall clock, and real fsync latencies on log force.
   ExecutionMode execution_mode = ExecutionMode::kSimulation;
   /// Simulated network/disk cost model (DESIGN.md Section 2).
   CostModel cost;
@@ -90,9 +90,9 @@ enum class HandoffPhase : int {
 /// The distributed system under test. In simulation mode, deterministic
 /// and single-threaded: identical seeds and call sequences reproduce
 /// identical histories, including crash/recovery interleavings. In
-/// real-threads mode the same API runs on per-node worker threads: public
-/// entry points that touch node state route through the executor so node
-/// internals stay thread-confined.
+/// real-threads mode the same API runs on real threads: public entry points
+/// that touch node state route through the executor, which runs node code
+/// only under that node's run token, so node internals stay confined.
 class Cluster {
  public:
   explicit Cluster(ClusterOptions options);
@@ -226,11 +226,12 @@ class Cluster {
   bool NoteBusyAndCheckDeadlock(TxnId waiter,
                                 const std::vector<TxnId>& blockers);
 
-  /// Runs `fn` in `id`'s execution context: inline in simulation mode, on
-  /// the node's worker thread (blocking for completion) in real-threads
-  /// mode. The escape hatch for tests/benchmarks that poke node state
-  /// directly — direct Node method calls from foreign threads would race
-  /// with the node's worker. NodeDown if the worker is stopped.
+  /// Runs `fn` in `id`'s execution context: inline in simulation mode; in
+  /// real-threads mode under the node's run token, on this thread when the
+  /// node is idle, else by the token holder (blocking for completion). The
+  /// escape hatch for tests/benchmarks that poke node state directly —
+  /// direct Node method calls from foreign threads would race with the
+  /// token holder. NodeDown if the node's context is stopped.
   Status Execute(NodeId id, const std::function<void()>& fn);
 
   // --- Infrastructure ----------------------------------------------------
@@ -246,7 +247,8 @@ class Cluster {
 
  private:
   /// Fail-stops one node, real-threads aware: peers see it down, its
-  /// worker is stopped and joined, then Crash() drops volatile state.
+  /// execution context is stopped (worker joined, token holder waited
+  /// for), then Crash() drops volatile state.
   /// No-op if already down.
   void HaltNode(Node* n);
 

@@ -5,10 +5,11 @@
 namespace clog {
 namespace {
 
-/// The worker currently executing on this thread, if any. Lets Run()
-/// detect node-thread senders (reentrant wait) and self-sends (inline).
-thread_local ThreadPerNodeExecutor* t_owner = nullptr;
-thread_local void* t_worker = nullptr;
+/// The node whose run token this thread holds, if any, and the executor it
+/// belongs to. Lets Run() tell token holders (RPC senders, self-sends)
+/// from tokenless callers.
+thread_local const ThreadPerNodeExecutor* t_owner = nullptr;
+thread_local void* t_home = nullptr;
 
 }  // namespace
 
@@ -21,6 +22,13 @@ ThreadPerNodeExecutor::Worker* ThreadPerNodeExecutor::FindWorker(NodeId id) {
   std::lock_guard<std::mutex> lk(registry_mu_);
   auto it = workers_.find(id);
   return it == workers_.end() ? nullptr : it->second.get();
+}
+
+std::size_t ThreadPerNodeExecutor::QueuedTasks(NodeId id) {
+  Worker* w = FindWorker(id);
+  if (w == nullptr) return 0;
+  std::lock_guard<std::mutex> lk(w->mu);
+  return w->mailbox.size();
 }
 
 void ThreadPerNodeExecutor::StartNode(NodeId id) {
@@ -42,12 +50,6 @@ void ThreadPerNodeExecutor::StartNode(NodeId id) {
   w->thread = std::thread([this, w] { WorkerLoop(w); });
 }
 
-void ThreadPerNodeExecutor::StopLocked(Worker* w) {
-  w->stopping = true;
-  w->cv.notify_all();
-  w->not_full.notify_all();
-}
-
 void ThreadPerNodeExecutor::StopNode(NodeId id) {
   Worker* w = FindWorker(id);
   if (w == nullptr) return;
@@ -55,14 +57,19 @@ void ThreadPerNodeExecutor::StopNode(NodeId id) {
   {
     std::lock_guard<std::mutex> lk(w->mu);
     if (!w->running && !w->thread.joinable()) return;
-    StopLocked(w);
+    w->stopping = true;
+    w->idle_cv.notify_all();
+    w->not_full.notify_all();
     to_join = std::move(w->thread);
   }
   if (to_join.joinable()) to_join.join();
-  // The worker is gone; reject everything it never got to.
+  // The worker is gone; a client thread may still hold the token. It
+  // finishes its task and, seeing `stopping`, runs nothing queued. Then
+  // reject everything nobody got to.
   std::deque<Call*> orphans;
   {
-    std::lock_guard<std::mutex> lk(w->mu);
+    std::unique_lock<std::mutex> lk(w->mu);
+    w->idle_cv.wait(lk, [&] { return !w->held; });
     orphans.swap(w->mailbox);
     w->running = false;
   }
@@ -92,7 +99,7 @@ void ThreadPerNodeExecutor::FinishCall(Call* c, bool rejected) {
   if (Worker* home = c->home; home != nullptr) {
     std::lock_guard<std::mutex> lk(home->mu);
     flag.store(true);
-    home->cv.notify_all();
+    home->holder_cv.notify_all();
   } else {
     std::lock_guard<std::mutex> lk(c->mu);
     flag.store(true);
@@ -100,33 +107,51 @@ void ThreadPerNodeExecutor::FinishCall(Call* c, bool rejected) {
   }
 }
 
-void ThreadPerNodeExecutor::WorkerLoop(Worker* w) {
+void ThreadPerNodeExecutor::RunHolding(Worker* w, const Task* fn) {
+  const ThreadPerNodeExecutor* prev_owner = t_owner;
+  void* prev_home = t_home;
   t_owner = this;
-  t_worker = w;
-  for (;;) {
-    Call* c = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(w->mu);
-      w->cv.wait(lk, [&] { return w->stopping || !w->mailbox.empty(); });
-      if (w->stopping) break;
-      c = w->mailbox.front();
-      w->mailbox.pop_front();
-      w->not_full.notify_all();
-    }
+  t_home = w;
+  if (fn != nullptr) (*fn)();
+  std::unique_lock<std::mutex> lk(w->mu);
+  // Work queued while this thread held the token is its to run. A stopping
+  // node runs nothing more: StopNode rejects the rest.
+  while (!w->stopping && !w->mailbox.empty()) {
+    Call* c = w->mailbox.front();
+    w->mailbox.pop_front();
+    w->not_full.notify_all();
+    lk.unlock();
     Execute(c);
+    lk.lock();
   }
-  t_owner = nullptr;
-  t_worker = nullptr;
+  w->held = false;
+  if (w->stopping) w->idle_cv.notify_all();  // StopNode waits for this.
+  lk.unlock();
+  t_owner = prev_owner;
+  t_home = prev_home;
+}
+
+void ThreadPerNodeExecutor::WorkerLoop(Worker* w) {
+  std::unique_lock<std::mutex> lk(w->mu);
+  for (;;) {
+    w->idle_cv.wait(lk, [&] {
+      return w->stopping || (!w->held && !w->mailbox.empty());
+    });
+    if (w->stopping) return;
+    w->held = true;
+    lk.unlock();
+    RunHolding(w, nullptr);
+    lk.lock();
+  }
 }
 
 bool ThreadPerNodeExecutor::Run(NodeId id, const Task& fn) {
   Worker* w = FindWorker(id);
   if (w == nullptr) return false;
-  Worker* home = t_owner == this ? static_cast<Worker*>(t_worker) : nullptr;
+  Worker* home = t_owner == this ? static_cast<Worker*>(t_home) : nullptr;
   if (home == w) {
-    // Self-send from the node's own thread: run inline, like the
-    // simulation does. (Enqueue-and-drain would also work via the
-    // reentrant wait below, but inline keeps self-RPCs cheap.)
+    // Self-send: this thread already runs as the node, like the
+    // simulation's one thread does.
     fn();
     return true;
   }
@@ -136,37 +161,51 @@ bool ThreadPerNodeExecutor::Run(NodeId id, const Task& fn) {
   call.home = home;
   {
     std::unique_lock<std::mutex> lk(w->mu);
+    if (w->stopping || !w->running) return false;
+    if (home == nullptr && !w->held) {
+      // Idle node, tokenless caller: run as the node on this thread, with
+      // no hand-off to the worker and back.
+      w->held = true;
+      lk.unlock();
+      RunHolding(w, &fn);
+      return true;
+    }
     w->not_full.wait(lk, [&] {
       return w->stopping || !w->running || w->mailbox.size() < capacity_;
     });
     if (w->stopping || !w->running) return false;
     w->mailbox.push_back(&call);
-    w->cv.notify_all();
+    // A token holder runs it at its next reentrant wait or before letting
+    // go of the token; with the token free, the worker does.
+    if (w->held) {
+      w->holder_cv.notify_all();
+    } else {
+      w->idle_cv.notify_all();
+    }
   }
 
   if (home == nullptr) {
-    // External thread (test driver, bench producer): plain blocking wait.
+    // Tokenless caller of a busy node: plain blocking wait.
     std::unique_lock<std::mutex> lk(call.mu);
     call.cv.wait(lk, [&] { return call.done.load() || call.rejected.load(); });
   } else {
-    // Node thread awaiting a reply: drain our own mailbox while we wait so
-    // a remote handler can call back into us (A -> B -> A) without
-    // deadlock — the nested work runs on this thread, preserving the
-    // simulation's synchronous recursion on real threads.
+    // Token holder awaiting a reply: run the tasks queued for its own node
+    // meanwhile, so a remote handler can call back into it (A -> B -> A)
+    // without deadlock — the nested work runs on this thread, preserving
+    // the simulation's synchronous recursion on real threads.
+    std::unique_lock<std::mutex> lk(home->mu);
     for (;;) {
-      Call* nested = nullptr;
-      {
-        std::unique_lock<std::mutex> lk(home->mu);
-        home->cv.wait(lk, [&] {
-          return call.done.load() || call.rejected.load() ||
-                 !home->mailbox.empty();
-        });
-        if (call.done.load() || call.rejected.load()) break;
-        nested = home->mailbox.front();
-        home->mailbox.pop_front();
-        home->not_full.notify_all();
-      }
+      home->holder_cv.wait(lk, [&] {
+        return call.done.load() || call.rejected.load() ||
+               !home->mailbox.empty();
+      });
+      if (call.done.load() || call.rejected.load()) break;
+      Call* nested = home->mailbox.front();
+      home->mailbox.pop_front();
+      home->not_full.notify_all();
+      lk.unlock();
       Execute(nested);
+      lk.lock();
     }
   }
   return call.done.load();

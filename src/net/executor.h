@@ -19,17 +19,20 @@
 /// body, a peer RPC handler, a recovery phase — goes through
 /// Executor::Run(node, fn). The simulation backend executes it inline on
 /// the single driving thread, preserving the deterministic synchronous
-/// call graph byte for byte. The real-threads backend gives each node one
-/// worker thread draining a bounded MPSC mailbox, so node state stays
-/// thread-confined exactly as the single-threaded Node code assumes while
+/// call graph byte for byte. The real-threads backend gives each node a
+/// run token, the right to run that node's code: node code runs only
+/// under its node's token, on whichever thread holds it, so node state
+/// stays confined exactly as the single-threaded Node code assumes while
 /// different nodes genuinely run in parallel on real time and real fsync.
+/// A client thread that finds its node idle runs the transaction itself;
+/// node-to-node RPCs go through the target's mailbox and worker thread.
 
 namespace clog {
 
 /// Which backend a Cluster runs on (ClusterOptions::execution_mode).
 enum class ExecutionMode : std::uint8_t {
   kSimulation = 0,   ///< Deterministic inline execution on a SimClock.
-  kRealThreads = 1,  ///< Thread-per-node mailboxes on a WallClock.
+  kRealThreads = 1,  ///< Per-node run tokens and workers on a WallClock.
 };
 
 /// Strategy interface for where node work executes.
@@ -48,8 +51,9 @@ class Executor {
   virtual void StartNode(NodeId id) = 0;
 
   /// Tears down `id`'s execution context: no new work is admitted, the
-  /// worker finishes its current task and is joined, and anything still
-  /// queued is rejected. Models killing the node's process. Idempotent.
+  /// thread running the node's code finishes its current task, and
+  /// anything still queued is rejected. Models killing the node's process.
+  /// Idempotent. Must not be called from inside `id`'s own context.
   virtual void StopNode(NodeId id) = 0;
 
   /// StopNode for every known node (cluster shutdown).
@@ -77,17 +81,27 @@ class InlineExecutor final : public Executor {
   }
 };
 
-/// Real-threads backend: one worker thread per node draining a bounded
-/// MPSC mailbox of calls. Senders block while the mailbox is full
-/// (backpressure) and block until their call completes (the RPC surface is
-/// synchronous request/reply).
+/// Real-threads backend. Each node has a run token, a bounded mailbox and
+/// a worker thread; every token hand-off is a release/acquire on the
+/// node's mutex, so whichever thread holds the token sees the node state
+/// its previous holder left.
 ///
-/// Reentrant waits keep the sim's recursive call shape deadlock-free: a
-/// node thread that is waiting for a reply from another node drains and
-/// executes its *own* mailbox in the meantime, so a call chain A -> B -> A
-/// completes on A's thread just as it completes on the simulation's one
-/// thread. This is also what keeps Node's deep state thread-confined: all
-/// work on node N — whatever thread submitted it — executes on N's worker.
+///  - A thread holding no token (a client session, a test driver,
+///    RestartNodes, a restore sweeper) that calls Run on a node whose
+///    token is free takes the token and runs `fn` inline, as that node.
+///    A busy node's task is queued instead.
+///  - A thread holding a token that calls Run on another node (a
+///    node-to-node RPC) always queues the call. While it waits for the
+///    reply it runs the tasks queued for its own node, so a call chain
+///    A -> B -> A completes on the thread holding A's token, just as it
+///    completes on the simulation's one thread. Self-sends run inline.
+///  - The token holder runs its node's queued tasks before it lets go of
+///    the token. The worker takes the token only to run queued work while
+///    no other thread holds it, and sleeps on its own condition variable,
+///    so replies addressed to a token holder's wait never wake it.
+///
+/// Senders block while a mailbox is full (backpressure) and until their
+/// call completes (the RPC surface is synchronous request/reply).
 class ThreadPerNodeExecutor final : public Executor {
  public:
   static constexpr std::size_t kDefaultMailboxCapacity = 1024;
@@ -102,31 +116,40 @@ class ThreadPerNodeExecutor final : public Executor {
   void StopAll() override;
   bool Run(NodeId id, const Task& fn) override;
 
+  /// Tasks waiting in `id`'s mailbox (0 for an unknown node). For tests.
+  std::size_t QueuedTasks(NodeId id);
+
  private:
   struct Worker;
 
-  /// One in-flight Run() call. Lives on the sender's stack — Run blocks
+  /// One queued Run() call. Lives on the sender's stack — Run blocks
   /// until `done` or `rejected`, so the pointer in the mailbox never
-  /// dangles. Completion is signalled on the sender's own worker's cv when
-  /// the sender is a node thread (reentrant wait), else on `cv` here.
+  /// dangles. Completion is signalled on the holder_cv of the node whose
+  /// token the sender holds (its reentrant wait), else on `cv` here.
   struct Call {
     const Task* fn = nullptr;
-    Worker* home = nullptr;  ///< Sender's worker; nullptr for external threads.
+    Worker* home = nullptr;  ///< Node whose token the sender holds, if any.
     std::mutex mu;
     std::condition_variable cv;
     std::atomic<bool> done{false};
     std::atomic<bool> rejected{false};
   };
 
-  /// Per-node mailbox + thread. Workers are created once per node id and
-  /// never destroyed before the executor (stable addresses: in-flight calls
-  /// hold `home` pointers across restarts of other nodes).
+  /// Per-node token, mailbox and worker thread. Created once per node id
+  /// and never destroyed before the executor (stable addresses: in-flight
+  /// calls hold `home` pointers across restarts of other nodes).
   struct Worker {
     NodeId id = kInvalidNodeId;
     std::mutex mu;
-    std::condition_variable cv;        ///< Work arrival / completion / stop.
+    /// Wakes the token holder's reentrant wait: a task was queued for the
+    /// node, or a reply to the holder's own call arrived.
+    std::condition_variable holder_cv;
+    /// Wakes the idle worker (queued work with the token free, or stop)
+    /// and StopNode (the token holder left).
+    std::condition_variable idle_cv;
     std::condition_variable not_full;  ///< Mailbox backpressure.
     std::deque<Call*> mailbox;
+    bool held = false;  ///< Some thread holds the run token.
     bool running = false;
     bool stopping = false;
     std::thread thread;
@@ -134,9 +157,11 @@ class ThreadPerNodeExecutor final : public Executor {
 
   Worker* FindWorker(NodeId id);
   void WorkerLoop(Worker* w);
+  /// Runs `fn` (if any) and then the queued tasks as `w`, whose token the
+  /// caller has just taken, and releases the token.
+  void RunHolding(Worker* w, const Task* fn);
   static void Execute(Call* c);
   static void FinishCall(Call* c, bool rejected);
-  static void StopLocked(Worker* w);
 
   const std::size_t capacity_;
   std::mutex registry_mu_;

@@ -1,6 +1,7 @@
 #ifndef CLOG_NET_MESSAGE_H_
 #define CLOG_NET_MESSAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -60,6 +61,10 @@ enum class MsgType : std::uint8_t {
   kHandoffQuery,        ///< Old owner -> new owner: did my offer land?
   kHandoffQueryReply,   ///< New owner -> old owner: adopted or not.
 };
+
+/// Number of MsgType values (they are dense from 0).
+inline constexpr std::size_t kNumMsgTypes =
+    static_cast<std::size_t>(MsgType::kHandoffQueryReply) + 1;
 
 /// Canonical name used as the metrics key suffix ("msg.lock_page_request").
 std::string_view MsgTypeName(MsgType t);

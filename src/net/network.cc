@@ -26,6 +26,13 @@ std::uint64_t EncodedSize(const std::vector<LogRecord>& records) {
 
 }  // namespace
 
+Network::Network(Clock* clock, CostModel cost) : clock_(clock), cost_(cost) {
+  for (std::size_t t = 0; t < kNumMsgTypes; ++t) {
+    msg_counters_[t] = &metrics_.GetCounter(
+        "msg." + std::string(MsgTypeName(static_cast<MsgType>(t))));
+  }
+}
+
 void Network::RegisterNode(NodeId id, NodeService* svc) {
   std::lock_guard<std::mutex> lk(mu_);
   peers_[id] = Peer{svc, true};
@@ -254,10 +261,9 @@ std::uint64_t Network::MaxBusyNanos() const {
 void Network::Charge(MsgType type, std::uint64_t bytes, NodeId from,
                      NodeId to) {
   bytes += kEnvelopeBytes;
-  metrics_.GetCounter(std::string("msg.") + std::string(MsgTypeName(type)))
-      .Add(1);
-  metrics_.GetCounter("msg.total").Add(1);
-  metrics_.GetCounter("bytes.total").Add(bytes);
+  msg_counters_[static_cast<std::size_t>(type)]->Add(1);
+  msg_total_->Add(1);
+  bytes_total_->Add(bytes);
   std::uint64_t ns = cost_.network_msg_ns + bytes * cost_.network_byte_ns;
   if (clock_ != nullptr) clock_->Advance(ns);
   // Both endpoints spend the wire time (send + receive handling).

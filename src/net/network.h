@@ -1,6 +1,7 @@
 #ifndef CLOG_NET_NETWORK_H_
 #define CLOG_NET_NETWORK_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -171,7 +172,7 @@ class NodeService {
 /// concurrent node threads can route safely.
 class Network {
  public:
-  Network(Clock* clock, CostModel cost) : clock_(clock), cost_(cost) {}
+  Network(Clock* clock, CostModel cost);
 
   /// Attaches the execution backend handlers are delivered through
   /// (nullptr = inline, the default). Not owned; must outlive the network
@@ -348,6 +349,13 @@ class Network {
   /// Pre-registered "rpc.rtt_ns" handle: Metrics elements are
   /// reference-stable, so the hot wrappers record without a string hash.
   Histogram* rtt_hist_ = &metrics_.GetHistogram("rpc.rtt_ns");
+  /// Pre-registered Charge handles, one "msg.<type>" counter per MsgType
+  /// plus the totals: every wire message is charged on its sender's
+  /// thread, which would otherwise build a name and take the registry
+  /// mutex three times per message.
+  std::array<Counter*, kNumMsgTypes> msg_counters_{};
+  Counter* msg_total_ = &metrics_.GetCounter("msg.total");
+  Counter* bytes_total_ = &metrics_.GetCounter("bytes.total");
   TraceSink* trace_ = nullptr;
   RetryPolicy retry_policy_;
   Random backoff_rng_{0xC10CBEEFull};

@@ -62,8 +62,8 @@ enum class RestoreSource : std::uint32_t {
 };
 
 /// Per-node restore state. Owned by Node; all calls run in the node's
-/// execution context (inline in simulation, on its worker thread in real
-/// mode), so the manager needs no locking of its own.
+/// execution context (inline in simulation, under the node's run token in
+/// real mode), so the manager needs no locking of its own.
 class InstantRestoreManager {
  public:
   /// One page's restore plan, built by restart recovery from the peer

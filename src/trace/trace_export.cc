@@ -26,6 +26,18 @@ std::string MsgStr(std::uint32_t type, const TraceFormatOptions& opts) {
   return "msg#" + std::to_string(type);
 }
 
+const char* RestoreSourceStr(std::uint32_t source) {
+  // Values of recovery/instant_restore.h RestoreSource.
+  switch (source) {
+    case 0: return "already_durable";
+    case 1: return "peer_cache";
+    case 2: return "archive+redo";
+    case 3: return "seed+redo";
+    case 4: return "poisoned";
+  }
+  return "source?";
+}
+
 const char* RecoveryPhaseStr(std::uint64_t phase) {
   // Values of core/cluster.h RecoveryPhase.
   switch (phase) {
@@ -112,6 +124,18 @@ std::string Args(const TraceEvent& e, const TraceFormatOptions& opts) {
                     "candidates=%" PRIu64 " from_archive=%" PRIu64
                     " poisoned=%u",
                     e.a, e.b, e.c);
+      return buf;
+    case TraceEventType::kRestorePlan:
+      std::snprintf(buf, sizeof(buf),
+                    "planned=%" PRIu64 " with_peer_copy=%" PRIu64, e.a, e.b);
+      return buf;
+    case TraceEventType::kPageRestored:
+      std::snprintf(buf, sizeof(buf), " psn=%" PRIu64 " source=%s", e.b,
+                    RestoreSourceStr(e.c));
+      return "page=" + PageStr(e.a) + buf;
+    case TraceEventType::kRestoreDone:
+      std::snprintf(buf, sizeof(buf), "restored=%" PRIu64 " dur_ns=%" PRIu64,
+                    e.a, e.b);
       return buf;
     case TraceEventType::kNodeCrash:
     case TraceEventType::kNone:

@@ -5,19 +5,15 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <thread>
 
 #include "common/codec.h"
 #include "common/crc32c.h"
 #include "common/fsutil.h"
 #include "fault/fault_injector.h"
 #include "trace/trace_sink.h"
-#include "wal/drainer.h"
-#include "wal/staging_buffer.h"
 
 namespace clog {
 
@@ -30,31 +26,13 @@ std::string Errno(const std::string& what) {
 // Record framing: u32 body_len | u32 crc32c(body) | body.
 constexpr std::size_t kFrameOverhead = 8;
 
-/// Globally monotonic registration epoch (see LogManager::staging_epoch_):
-/// every Open stamps a fresh value, so a thread-local cache entry can
-/// never confuse a reopened (or address-reused) LogManager with the one
-/// it registered against.
-std::atomic<std::uint64_t> g_staging_epoch{0};
-
-/// Thread-local staging-buffer cache: one entry per (LogManager, epoch)
-/// this thread has appended to. Tiny (a thread talks to one or two logs),
-/// so a linear scan beats any map on the hot path.
-struct TlsStaging {
-  const LogManager* log = nullptr;
-  std::uint64_t epoch = 0;
-  StagingBuffer* buffer = nullptr;
-};
-thread_local std::vector<TlsStaging> t_staging;
-
 }  // namespace
 
 LogManager::LogManager() = default;
 
 LogManager::~LogManager() {
-  // The drain thread holds a raw `this`; it must be joined before any
-  // member dies. Like the old destructor, no flush: losing the volatile
-  // tail at destruction is the crash-consistency contract.
-  if (drainer_ != nullptr) drainer_->Stop();
+  // No flush: losing the volatile tail at destruction is the
+  // crash-consistency contract.
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -75,29 +53,10 @@ Status LogManager::Open(const std::string& path) {
     CLOG_RETURN_IF_ERROR(RecoverTail());
   }
   buffer_start_ = end_lsn_.load(std::memory_order_relaxed);
-  published_lsn_.store(buffer_start_, std::memory_order_relaxed);
   reclaimable_lsn_ = kHeaderSize;
   buffer_.clear();
   flushing_chunk_.clear();
   flushing_start_ = buffer_start_;
-  {
-    // Previous-epoch staging buffers (and any records a crash stranded in
-    // them) die here; producer threads re-register on their next append
-    // because the epoch moved. Their append statistics are folded into
-    // the base counters first — stats are cumulative across reopens.
-    std::lock_guard<std::mutex> slk(staging_mu_);
-    for (const auto& sb : staging_) {
-      appended_records_.fetch_add(sb->records(), std::memory_order_relaxed);
-      appended_bytes_.fetch_add(sb->bytes(), std::memory_order_relaxed);
-    }
-    staging_.clear();
-    staging_count_.store(0, std::memory_order_release);
-    // The drain-role snapshot would otherwise dangle into the old epoch
-    // (no drainer runs during Open — lifecycle methods are quiesced).
-    drain_scratch_.clear();
-    staging_epoch_ = g_staging_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  concurrent_.store(false, std::memory_order_release);
   open_.store(true, std::memory_order_release);
   return Status::OK();
 }
@@ -154,32 +113,20 @@ Status LogManager::RecoverTail() {
 }
 
 Status LogManager::Close() {
-  Status st;
-  {
-    std::lock_guard<std::mutex> io_lk(flush_mu_);
-    std::unique_lock<std::mutex> lk(mu_);
-    if (fd_ < 0) return Status::OK();
-    // Publication barrier: every appended record must reach the tail
-    // before the final flush covers it. (Callers have quiesced producers,
-    // so end_lsn_ is stable here.)
-    AwaitPublished(end_lsn_.load(std::memory_order_acquire), lk);
-    st = FlushLocked(end_lsn_.load(std::memory_order_acquire), lk);
-    open_.store(false, std::memory_order_release);
-    ::close(fd_);
-    fd_ = -1;
-  }
-  StopDrainer();
+  std::lock_guard<std::mutex> io_lk(flush_mu_);
+  std::unique_lock<std::mutex> lk(mu_);
+  if (fd_ < 0) return Status::OK();
+  Status st = FlushLocked(end_lsn_.load(std::memory_order_acquire), lk);
+  open_.store(false, std::memory_order_release);
+  ::close(fd_);
+  fd_ = -1;
   return st;
 }
 
 void LogManager::Abandon() {
-  // Crash semantics: stop accepting work, then kill the drainer wherever
-  // it is. Records it had not yet assembled stay in their staging buffers
-  // and are simply lost — the unpublished suffix — exactly as an
-  // in-flight encode would be lost by a real process death.
+  // Crash semantics: stop accepting work first, so producers racing the
+  // crash fail cleanly instead of appending to a dying tail.
   open_.store(false, std::memory_order_release);
-  if (drainer_ != nullptr) drainer_->Stop();
-  published_cv_.notify_all();  // Release flushers stuck in AwaitPublished.
   // flush_mu_ before mu_ (the lock order): an in-flight flush I/O section
   // must finish before the fd goes away beneath it.
   std::lock_guard<std::mutex> io_lk(flush_mu_);
@@ -204,115 +151,38 @@ void LogManager::Abandon() {
   buffer_.clear();
 }
 
-void LogManager::StartDrainer() {
-  if (drainer_ == nullptr) drainer_ = std::make_unique<LogDrainer>(this);
-  if (drainer_->running()) return;
-  concurrent_.store(true, std::memory_order_release);
-  drainer_->Start();
-}
-
-void LogManager::StopDrainer() {
-  if (!concurrent_.load(std::memory_order_acquire)) return;
-  {
-    // Drain barrier: the thread is only retired once everything staged has
-    // been assembled, so flipping back to inline mode never strands bytes.
-    std::unique_lock<std::mutex> lk(mu_);
-    while (published_lsn_.load(std::memory_order_acquire) <
-           end_lsn_.load(std::memory_order_acquire)) {
-      if (drainer_ == nullptr || !drainer_->running()) break;
-      drainer_->Nudge();
-      published_cv_.wait_for(lk, std::chrono::milliseconds(1));
-    }
-  }
-  if (drainer_ != nullptr) drainer_->Stop();
-  concurrent_.store(false, std::memory_order_release);
-}
-
-Status LogManager::ReserveLsn(std::uint64_t frame_size, bool enforce_capacity,
-                              Lsn* lsn) {
-  // The whole multi-producer admission protocol: one CAS loop. Folding the
-  // capacity check into the loop makes LogFull exact — two producers can
-  // never both pass a stale WouldOverflow and jointly overshoot, because
-  // whoever loses the CAS re-evaluates against the winner's reservation.
-  Lsn end = end_lsn_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (enforce_capacity) {
-      std::uint64_t cap = capacity_.load(std::memory_order_relaxed);
-      if (cap != 0 &&
-          end + frame_size -
-                  reclaimable_lsn_.load(std::memory_order_acquire) >
-              cap) {
-        return Status::LogFull("log capacity " + std::to_string(cap) +
-                               " bytes exhausted");
-      }
-    }
-    if (end_lsn_.compare_exchange_weak(end, end + frame_size,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-      *lsn = end;
-      return Status::OK();
-    }
-  }
-}
-
-StagingBuffer* LogManager::ThreadStaging() {
-  for (const TlsStaging& e : t_staging) {
-    if (e.log == this && e.epoch == staging_epoch_) return e.buffer;
-  }
-  // First append from this thread (or first since a reopen): register a
-  // fresh buffer, pre-sized so the first records pay no allocation.
-  auto owned = std::make_unique<StagingBuffer>();
-  owned->Reserve();
-  StagingBuffer* raw = owned.get();
-  std::uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lk(staging_mu_);
-    staging_.push_back(std::move(owned));
-    staging_count_.store(staging_.size(), std::memory_order_release);
-    epoch = staging_epoch_;
-  }
-  std::erase_if(t_staging,
-                [this](const TlsStaging& e) { return e.log == this; });
-  t_staging.push_back(TlsStaging{this, epoch, raw});
-  return raw;
-}
-
 Status LogManager::Append(const LogRecord& rec, Lsn* lsn,
                           bool enforce_capacity) {
   if (!open_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("log not open");
   }
-  if (concurrent_.load(std::memory_order_acquire)) {
-    return AppendStaged(rec, lsn, enforce_capacity);
-  }
   std::lock_guard<std::mutex> lk(mu_);
   if (fd_ < 0) return Status::FailedPrecondition("log not open");
-  return AppendInline(rec, lsn, enforce_capacity);
-}
-
-Status LogManager::AppendInline(const LogRecord& rec, Lsn* lsn,
-                                bool enforce_capacity) {
   // Zero-copy append: reserve the 8-byte frame header, encode the body
   // directly into the tail buffer, then backfill len + crc. No per-record
-  // temporary string, no second memcpy; the on-disk frame format is
-  // byte-for-byte what the old encode-then-copy path produced.
+  // temporary string, no second memcpy.
   const std::size_t base = buffer_.size();
   buffer_.append(kFrameOverhead, '\0');
   rec.EncodeTo(&buffer_);
   const std::size_t body_size = buffer_.size() - base - kFrameOverhead;
   const std::uint64_t frame_size = body_size + kFrameOverhead;
-  Status reserved = ReserveLsn(frame_size, enforce_capacity, lsn);
-  if (!reserved.ok()) {
+  // mu_ serializes every advance of end_lsn_, so the capacity check is
+  // exact however many threads append.
+  const Lsn start = end_lsn_.load(std::memory_order_relaxed);
+  const std::uint64_t cap = capacity();
+  if (enforce_capacity && cap != 0 &&
+      start + frame_size - reclaimable_lsn() > cap) {
     buffer_.resize(base);  // The refused record leaves no trace.
-    return reserved;
+    return Status::LogFull("log capacity " + std::to_string(cap) +
+                           " bytes exhausted");
   }
   std::uint32_t len = static_cast<std::uint32_t>(body_size);
   std::uint32_t crc =
       crc32c::Value(buffer_.data() + base + kFrameOverhead, body_size);
   std::memcpy(buffer_.data() + base, &len, 4);
   std::memcpy(buffer_.data() + base + 4, &crc, 4);
-  // Inline drain: the record is assembled the instant it is appended.
-  published_lsn_.store(*lsn + frame_size, std::memory_order_release);
+  *lsn = start;
+  end_lsn_.store(start + frame_size, std::memory_order_release);
   appended_records_.fetch_add(1, std::memory_order_relaxed);
   appended_bytes_.fetch_add(frame_size, std::memory_order_relaxed);
   if (trace_ != nullptr) {
@@ -320,194 +190,6 @@ Status LogManager::AppendInline(const LogRecord& rec, Lsn* lsn,
                  static_cast<std::uint32_t>(rec.type));
   }
   return Status::OK();
-}
-
-Status LogManager::AppendStaged(const LogRecord& rec, Lsn* lsn,
-                                bool enforce_capacity) {
-  StagingBuffer* sb = ThreadStaging();
-  StagingBuffer::Slot* slot;
-  while ((slot = sb->AcquireSlot()) == nullptr) {
-    // Ring full: backpressure until the drainer frees a slot. Yield, not
-    // park or sleep: a parked producer needs a futex round-trip (and a
-    // precisely raced notify) to resume, and a sleeping producer leaves
-    // the drainer starved for input the moment it catches up — both
-    // measured worse than handing the scheduler the core, especially on
-    // small hosts where the drainer needs exactly this CPU to make room.
-    // A log that closed (crash) underneath us releases the spin instead
-    // of wedging the producer.
-    if (!open_.load(std::memory_order_acquire)) {
-      return Status::FailedPrecondition("log not open");
-    }
-    std::this_thread::yield();
-  }
-  // Same zero-copy framing as the inline path, into this thread's own
-  // slot: reserve the header, encode in place, backfill len + crc.
-  std::string* frame = &slot->frame;
-  frame->clear();
-  frame->append(kFrameOverhead, '\0');
-  rec.EncodeTo(frame);
-  const std::size_t body_size = frame->size() - kFrameOverhead;
-  const std::uint64_t frame_size = body_size + kFrameOverhead;
-  // The frame is completed (len + crc backfill) *before* the reservation:
-  // between ReserveLsn and Publish this producer is the head-of-line
-  // blocker for the entire LSN-ordered assembly, so that window must be
-  // as close to nothing as possible — two plain stores — or a producer
-  // preempted inside it stalls every other ring for a scheduler quantum.
-  // Reservation still precedes publication, so a LogFull refusal leaves
-  // nothing behind: the unpublished slot is recycled by the next append.
-  std::uint32_t len = static_cast<std::uint32_t>(body_size);
-  std::uint32_t crc =
-      crc32c::Value(frame->data() + kFrameOverhead, body_size);
-  std::memcpy(frame->data(), &len, 4);
-  std::memcpy(frame->data() + 4, &crc, 4);
-  CLOG_RETURN_IF_ERROR(ReserveLsn(frame_size, enforce_capacity, lsn));
-  slot->lsn = *lsn;
-  // The release store that hands the record to the drainer. After this,
-  // the slot is untouchable until the drainer consumes it.
-  sb->Publish();
-  sb->CountAppend(frame_size);
-  if (trace_ != nullptr) {
-    trace_->Emit(trace_node_, TraceEventType::kLogAppend, *lsn, frame_size,
-                 static_cast<std::uint32_t>(rec.type));
-  }
-  return Status::OK();
-}
-
-std::size_t LogManager::DrainPublishedBatch() {
-  // The lock makes the caller *the* drain role for the duration (the
-  // background drainer, or an AwaitPublished waiter assembling its own
-  // backlog), so published_lsn_ has a single writer inside and the rings
-  // stay SPSC on the consumer side.
-  std::lock_guard<std::mutex> role(drain_role_mu_);
-  return DrainBatchRoleHeld();
-}
-
-std::size_t LogManager::DrainBatchRoleHeld() {
-  // Merge published staging records into the tail in LSN order.
-  constexpr std::size_t kMaxBatchBytes = 1024 * 1024;
-  // A drainer that keeps pace with its producers finds only a record or
-  // two per sweep, and the fixed sweep cost (registry snapshot, tail-lock
-  // splice) then dominates — throughput becomes sweeps/s, not records/s.
-  // So a sweep that came up small lingers briefly (bounded spin) to let
-  // producers publish more before paying the splice. Publication delay is
-  // a few µs at worst; appenders never wait on it.
-  constexpr std::size_t kMinSpliceBytes = 16 * 1024;
-  constexpr int kGatherYields = 16;
-  Lsn expected = published_lsn_.load(std::memory_order_acquire);
-  // The scratch buffers are members: a busy drainer sweeps millions of
-  // times a second, and a heap allocation (plus string growth reallocs)
-  // per sweep was the dominant cost of small sweeps. The registry
-  // snapshot is refreshed only when the registry grew — it only changes
-  // between Opens or by growing, and entries stay valid until Open.
-  std::vector<StagingBuffer*>& buffers = drain_scratch_;
-  if (buffers.size() != staging_count_.load(std::memory_order_acquire)) {
-    buffers.clear();
-    std::lock_guard<std::mutex> lk(staging_mu_);
-    for (const auto& sb : staging_) buffers.push_back(sb.get());
-  }
-  // Assemble off the tail lock: the merge (peeks + memcpys) touches only
-  // SPSC state, so producers and flushers run undisturbed until the final
-  // splice.
-  std::string& batch = drain_batch_;
-  batch.clear();
-  int spins = 0;
-  while (batch.size() < kMaxBatchBytes) {
-    bool progress = false;
-    for (StagingBuffer* sb : buffers) {
-      const StagingBuffer::Slot* s = sb->Peek();
-      if (s == nullptr || s->lsn != expected) continue;
-      // A run of contiguous records from one producer: consume the whole
-      // run before rescanning, since per-thread LSNs are monotonic.
-      do {
-        batch.append(s->frame);
-        expected += s->frame.size();
-        sb->Consume();
-        s = sb->Peek();
-      } while (s != nullptr && s->lsn == expected &&
-               batch.size() < kMaxBatchBytes);
-      progress = true;
-      break;  // The next LSN may live in any buffer: rescan.
-    }
-    if (!progress) {
-      if (batch.empty() || batch.size() >= kMinSpliceBytes ||
-          ++spins > kGatherYields) {
-        break;
-      }
-      // Gather only while somebody is actually mid-append (reserved but
-      // not yet published); a quiet log splices immediately.
-      if (end_lsn_.load(std::memory_order_acquire) == expected) break;
-      // Yield, not pause: the producer holding up `expected` may need
-      // this very core to finish its encode (think single-CPU hosts —
-      // spinning here would steal cycles from the thread being waited
-      // on). On a busy box one yield often buys a whole producer
-      // timeslice of records, which is exactly the batch we want.
-      std::this_thread::yield();
-    }
-  }
-  if (batch.empty()) return 0;
-  const std::size_t batch_bytes = batch.size();
-  bool wake;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (buffer_.empty()) {
-      // The flusher steals buffer_ on every force, so between forces it is
-      // usually empty — swapping the batch in hands over the bytes without
-      // re-copying them (the second memcpy of every logged byte otherwise).
-      std::swap(buffer_, batch);
-    } else {
-      buffer_.append(batch);
-    }
-    published_lsn_.store(expected, std::memory_order_release);
-    // Wake waiters only when the watermark actually crossed one's
-    // threshold: a busy drainer splices thousands of times a second, and
-    // an unconditional notify is a futex syscall per sweep whenever a
-    // flusher is parked. Waiters this leaves unsatisfied re-register
-    // (AwaitPublished loops under mu_), and every wait is bounded, so a
-    // skipped notify costs at most one poll interval, never a wedge.
-    wake = min_awaited_ <= expected;
-    if (wake) min_awaited_ = kNoAwaiter;
-  }
-  if (wake) published_cv_.notify_all();
-  return batch_bytes;
-}
-
-void LogManager::AwaitPublished(Lsn up_to, std::unique_lock<std::mutex>& lk) {
-  // Inline mode publishes at append time: nothing to wait for.
-  while (concurrent_.load(std::memory_order_acquire)) {
-    Lsn pub = published_lsn_.load(std::memory_order_acquire);
-    if (pub > up_to || pub >= end_lsn_.load(std::memory_order_acquire)) {
-      return;
-    }
-    // Abandon kills the drainer with reservations possibly still staged;
-    // the watermark can never cover them, so waiting would wedge the
-    // caller forever. Give up — the caller observes the crashed log.
-    if (!open_.load(std::memory_order_acquire)) return;
-    // Drain-helper: if the drain role is free, assemble the published
-    // backlog ourselves instead of waiting for the drainer thread to be
-    // scheduled (a commit force used to eat the drainer's idle-sleep
-    // interval just to get a few hundred bytes memcpy'd — most of its
-    // latency). Try-lock only: when the drainer is actively mid-sweep,
-    // barging in would just fragment its batches — it will splice and
-    // notify soon. mu_ is dropped across the drain per the lock order
-    // (drain_role_mu_ before mu_).
-    lk.unlock();
-    std::size_t drained = 0;
-    {
-      std::unique_lock<std::mutex> role(drain_role_mu_, std::try_to_lock);
-      if (role.owns_lock()) drained = DrainBatchRoleHeld();
-    }
-    lk.lock();
-    if (drained > 0) continue;
-    // Nothing assembled: the missing records are still in some producer's
-    // hands (reserved, not yet published) — now we really must wait.
-    // Register this wait's threshold so the drainer knows when a splice is
-    // worth a notify (mu_ is held here and at the splice: no lost wakeup).
-    if (up_to < min_awaited_) min_awaited_ = up_to;
-    if (drainer_ != nullptr) drainer_->Nudge();
-    // Timed wait: publication is signalled under mu_, but a drainer racing
-    // a shutdown could stop without one last notify.
-    published_cv_.wait_for(lk, std::chrono::microseconds(200));
-  }
 }
 
 Status LogManager::Flush(Lsn up_to) {
@@ -525,9 +207,7 @@ Status LogManager::FlushLocked(Lsn up_to, std::unique_lock<std::mutex>& lk) {
   if (up_to < flushed_lsn_.load(std::memory_order_acquire)) {
     return Status::OK();
   }
-  // Group commit meets the publication watermark: wait until every record
-  // with start LSN <= up_to is assembled, then one write, one fsync.
-  AwaitPublished(up_to, lk);
+  // Group commit: one write, one fsync for the whole buffer.
   if (buffer_.empty()) return Status::OK();
   if (fault_ != nullptr && fault_->OnLogSync(node_)) {
     // Fails before any byte reaches the file: the records stay buffered
@@ -536,10 +216,9 @@ Status LogManager::FlushLocked(Lsn up_to, std::unique_lock<std::mutex>& lk) {
     // survivable in place).
     return Status::IOError("fault injection: log force failed");
   }
-  // Steal the assembled prefix (O(1) swap — copying megabytes under mu_
-  // would stall the drainer's splice and back up every producer ring) and
-  // release the tail lock for the I/O: producers keep appending and the
-  // drainer keeps splicing into the emptied buffer_ while the disk syncs.
+  // Steal the buffered prefix (O(1) swap — copying megabytes under mu_
+  // would stall every producer) and release the tail lock for the I/O:
+  // producers keep appending into the emptied buffer_ while the disk syncs.
   // flush_mu_ (held by the caller) keeps concurrent flush I/O serial, so
   // flushed_lsn_ only ever advances over a fully durable prefix; fd_ is
   // stable because teardown (Close and Abandon) also takes flush_mu_
@@ -563,8 +242,8 @@ Status LogManager::FlushLocked(Lsn up_to, std::unique_lock<std::mutex>& lk) {
   }
   lk.lock();
   if (!io.ok()) {
-    // Put the unwritten chunk back in front of whatever the drainer
-    // spliced meanwhile; a later retry is sound.
+    // Put the unwritten chunk back in front of whatever was appended
+    // meanwhile; a later retry is sound.
     flushing_chunk_.append(buffer_);
     std::swap(buffer_, flushing_chunk_);
     flushing_chunk_.clear();
@@ -572,11 +251,11 @@ Status LogManager::FlushLocked(Lsn up_to, std::unique_lock<std::mutex>& lk) {
     return io;
   }
   flushing_chunk_.clear();  // Keeps its capacity for the next flush.
-  const Lsn assembled_end = write_start + n;
+  const Lsn written_end = write_start + n;
   if (trace_ != nullptr) {
-    trace_->Emit(trace_node_, TraceEventType::kLogForce, assembled_end, n);
+    trace_->Emit(trace_node_, TraceEventType::kLogForce, written_end, n);
   }
-  flushed_lsn_.store(assembled_end, std::memory_order_release);
+  flushed_lsn_.store(written_end, std::memory_order_release);
   forces_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -594,17 +273,14 @@ Status LogManager::ReadRecord(Lsn lsn, LogRecord* rec, Lsn* next_lsn) {
 
 Status LogManager::ReadRawFrame(Lsn lsn, std::string* body,
                                 std::uint32_t* crc, Lsn* next_lsn) {
-  std::unique_lock<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   if (fd_ < 0) return Status::FailedPrecondition("log not open");
   if (lsn < kHeaderSize || lsn >= end_lsn_.load(std::memory_order_acquire)) {
     return Status::NotFound("lsn " + std::to_string(lsn) + " out of range");
   }
-  // A reserved LSN may still be in its producer's staging buffer; readers
-  // (recovery scans, peer redo collection) wait for its publication.
-  AwaitPublished(lsn, lk);
   char frame_hdr[kFrameOverhead];
   if (lsn >= buffer_start_) {
-    // Still in the assembled tail buffer.
+    // Still in the tail buffer.
     std::size_t off = static_cast<std::size_t>(lsn - buffer_start_);
     if (off + kFrameOverhead > buffer_.size()) {
       return Status::Corruption("buffered frame header out of range");
@@ -648,20 +324,6 @@ Status LogManager::ReadRawFrame(Lsn lsn, std::string* body,
   std::memcpy(crc, frame_hdr + 4, 4);
   if (next_lsn != nullptr) *next_lsn = lsn + kFrameOverhead + body->size();
   return Status::OK();
-}
-
-std::uint64_t LogManager::appended_records() const {
-  std::uint64_t n = appended_records_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(staging_mu_);
-  for (const auto& sb : staging_) n += sb->records();
-  return n;
-}
-
-std::uint64_t LogManager::appended_bytes() const {
-  std::uint64_t n = appended_bytes_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(staging_mu_);
-  for (const auto& sb : staging_) n += sb->bytes();
-  return n;
 }
 
 void LogManager::SetReclaimableLsn(Lsn lsn) {

@@ -2,12 +2,9 @@
 #define CLOG_WAL_LOG_MANAGER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -24,8 +21,6 @@
 namespace clog {
 
 class FaultInjector;
-class LogDrainer;
-class StagingBuffer;
 class TraceSink;
 
 /// Append/flush interface over one log file.
@@ -44,43 +39,22 @@ class TraceSink;
 /// append-only; reclaimed prefixes simply stop counting against capacity,
 /// which preserves the paper-visible behaviour without wraparound framing.
 ///
-/// Thread safety — the lock-free front end (docs/performance.md "WAL
-/// front-end"): Append never takes a lock. LSN/space reservation is one
-/// CAS loop on the logical end (the capacity check is folded into the same
-/// loop, so LogFull is exact under any producer count), the record body is
-/// encoded into the calling thread's own staging buffer slot, and a single
-/// release store publishes it. Three watermarks order everything:
+/// Thread safety: Append encodes the record straight into the tail buffer
+/// under the log mutex and assigns its LSN in the same critical section,
+/// so the capacity check is exact and the bytes on disk are the same
+/// whichever thread appends. In real mode every append to a node's log
+/// runs under that node's run token (net/executor.h), so the mutex is
+/// uncontended there too; it still makes any number of concurrent
+/// producers and flushers safe. Flush writes and syncs with the mutex
+/// released, so appends continue during the force. The LSN watermarks
+/// (`end_lsn`, `flushed_lsn`) and `is_open()` are atomics for lock-free
+/// readers.
 ///
-///     flushed_lsn_  <=  published_lsn_  <=  end_lsn_
-///
-/// `end_lsn_` is the reserved logical end; `published_lsn_` is the end of
-/// the contiguous prefix the drainer has assembled, in LSN order, into the
-/// tail buffer; `flushed_lsn_` is the end of the durable prefix. The
-/// invariant every caller may rely on: **records are durable only up to
-/// min(published watermark, flushed LSN)** — and since Flush(up_to) first
-/// waits for publication to cover `up_to`, then writes once and fsyncs
-/// once, `flushed_lsn_` never overtakes `published_lsn_`. Reserved-but-
-/// unpublished bytes (a producer mid-encode) are invisible to Flush, to
-/// readers, and — like any unforced suffix — to crash recovery.
-///
-/// Two drain modes share that contract:
-///  - **Inline (default; deterministic simulation).** No drainer thread:
-///    Append assembles the record directly into the tail under the
-///    internal mutex (uncontended: sim is single-threaded) and publication
-///    is immediate, so the schedule and the produced bytes are identical
-///    to the pre-front-end implementation.
-///  - **Concurrent (StartDrainer; real-threads mode).** Producers are
-///    lock-free as above and a background LogDrainer assembles published
-///    records into the tail. Flush/ReadRecord/Close wait on the published
-///    watermark; Abandon (crash) drops exactly the unpublished and
-///    unforced suffix.
-///
-/// Orderly lifecycle methods (Open/Close/StartDrainer/StopDrainer) must
-/// not run concurrently with appends — callers quiesce producers first,
-/// exactly as a process shutdown does. Abandon is the exception by
-/// design: it is the crash, and may race live producers and flushers —
-/// they observe the closed log and fail cleanly (in-flight staged
-/// records land in the lost suffix).
+/// Orderly lifecycle methods (Open/Close) must not run concurrently with
+/// appends — callers quiesce producers first, exactly as a process
+/// shutdown does. Abandon is the exception by design: it is the crash,
+/// and may race live producers and flushers — they observe the closed log
+/// and fail cleanly.
 class LogManager {
  public:
   LogManager();
@@ -101,28 +75,7 @@ class LogManager {
 
   /// Closes without flushing the append buffer — simulates losing the
   /// volatile log tail in a crash (unforced records were never durable).
-  /// In concurrent mode the drainer is stopped mid-stream first: staged
-  /// records it never assembled are lost with the crash, exactly like the
-  /// assembled-but-unforced tail.
   void Abandon();
-
-  // --- Drain mode (docs/architecture_modes.md) ---
-
-  /// Switches to concurrent mode and starts the background drainer.
-  /// Idempotent. Real-threads mode only; the simulation must never call
-  /// this (an extra thread would perturb nothing *logically*, but inline
-  /// drain is what keeps sim behaviour byte-identical and deterministic).
-  void StartDrainer();
-
-  /// Drains staged records to a barrier (published == end), stops the
-  /// thread, and returns to inline mode. Called implicitly by Close.
-  void StopDrainer();
-
-  /// One drainer sweep: merges published staging records into the tail in
-  /// LSN order, taking the drain role (drain_role_mu_) for the duration.
-  /// Returns the number of bytes assembled (0 = nothing available).
-  /// Public for the LogDrainer thread and for tests.
-  std::size_t DrainPublishedBatch();
 
   /// Appends `rec`, assigning its LSN (returned through `*lsn`). The record
   /// is buffered; it becomes durable on the next covering Flush. Fails with
@@ -133,13 +86,11 @@ class LogManager {
   Status Append(const LogRecord& rec, Lsn* lsn, bool enforce_capacity = true);
 
   /// Forces all records with LSN <= `up_to` to disk (group commit: the
-  /// entire assembled buffer is written, one fsync). Waits for publication
-  /// up to `up_to` first in concurrent mode. No-op if already durable.
+  /// entire buffer is written, one fsync). No-op if already durable.
   Status Flush(Lsn up_to);
 
-  /// Reads the record at `lsn` (possibly still unflushed; waits for its
-  /// publication in concurrent mode). Returns the LSN of the following
-  /// record via `*next_lsn` if non-null.
+  /// Reads the record at `lsn` (possibly still unflushed). Returns the LSN
+  /// of the following record via `*next_lsn` if non-null.
   Status ReadRecord(Lsn lsn, LogRecord* rec, Lsn* next_lsn = nullptr);
 
   /// Reads the raw frame at `lsn`: the undecoded record body plus the CRC
@@ -152,13 +103,6 @@ class LogManager {
 
   /// LSN that the *next* appended record will get (current logical end).
   Lsn end_lsn() const { return end_lsn_.load(std::memory_order_acquire); }
-
-  /// End of the contiguous prefix assembled into the tail buffer. Equals
-  /// end_lsn() whenever producers are quiet; lags it only transiently in
-  /// concurrent mode.
-  Lsn published_lsn() const {
-    return published_lsn_.load(std::memory_order_acquire);
-  }
 
   /// Highest LSN known durable.
   Lsn flushed_lsn() const {
@@ -190,8 +134,8 @@ class LogManager {
 
   /// True if appending `bytes` more would exceed a bounded capacity.
   /// Advisory under concurrency (the log-space pressure protocol polls
-  /// it); the append path itself folds this check into the reservation
-  /// CAS, so admission is exact even when observers race.
+  /// it); Append repeats the check under the log mutex, so admission is
+  /// exact even when observers race.
   bool WouldOverflow(std::uint64_t bytes) const {
     std::uint64_t cap = capacity();
     return cap != 0 && LiveBytes() + bytes > cap;
@@ -220,12 +164,12 @@ class LogManager {
   Result<Lsn> LoadMark() const;
 
   // --- Counters for benchmarks ---
-  // Append counts live with each producer's staging buffer (two shared
-  // fetch_adds per append otherwise); the accessors aggregate them over
-  // the base counters, so reads are approximate while producers run and
-  // exact once they quiesce.
-  std::uint64_t appended_records() const;
-  std::uint64_t appended_bytes() const;
+  std::uint64_t appended_records() const {
+    return appended_records_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t appended_bytes() const {
+    return appended_bytes_.load(std::memory_order_relaxed);
+  }
   std::uint64_t forces() const {
     return forces_.load(std::memory_order_relaxed);
   }
@@ -251,83 +195,29 @@ class LogManager {
   Status WriteHeader();
   Status RecoverTail();
 
-  /// Reserves `frame_size` bytes of LSN space: one CAS loop on end_lsn_
-  /// with the capacity check folded in, so concurrent producers can never
-  /// jointly overshoot a bounded log. Returns the record's LSN through
-  /// `*lsn`; LogFull refusals reserve nothing.
-  Status ReserveLsn(std::uint64_t frame_size, bool enforce_capacity,
-                    Lsn* lsn);
-
-  /// Inline-mode append body (mu_ held): encode into the tail, reserve,
-  /// publish immediately. Byte-identical to the pre-front-end path.
-  Status AppendInline(const LogRecord& rec, Lsn* lsn, bool enforce_capacity);
-
-  /// Concurrent-mode append body: lock-free staging-buffer path.
-  Status AppendStaged(const LogRecord& rec, Lsn* lsn, bool enforce_capacity);
-
-  /// The calling thread's staging buffer for this log, registering (and
-  /// warming) one on first use.
-  StagingBuffer* ThreadStaging();
-
-  /// DrainPublishedBatch body; caller holds drain_role_mu_.
-  std::size_t DrainBatchRoleHeld();
-
-  /// Ensures the published watermark covers every record with start LSN
-  /// <= `up_to`: first by draining the backlog itself (taking the drain
-  /// role), then — only when the missing records are still unpublished in
-  /// a producer's hands — by waiting. Caller holds mu_ via `lk`; it is
-  /// released while draining/waiting. No-op inline.
-  void AwaitPublished(Lsn up_to, std::unique_lock<std::mutex>& lk);
-
   /// Flush body; caller holds flush_mu_ and mu_ (via `lk`). The
   /// write+fsync itself runs with mu_ RELEASED, so producers keep
-  /// appending and the drainer keeps splicing while the disk syncs;
-  /// flush_mu_ keeps the I/O sections serial so flushed_lsn_ only ever
-  /// advances over a fully durable prefix.
+  /// appending while the disk syncs; flush_mu_ keeps the I/O sections
+  /// serial so flushed_lsn_ only ever advances over a fully durable
+  /// prefix.
   Status FlushLocked(Lsn up_to, std::unique_lock<std::mutex>& lk);
 
   /// Serializes flush I/O sections (and fd teardown against them).
-  /// Lock order: flush_mu_ before drain_role_mu_ before mu_, always.
+  /// Lock order: flush_mu_ before mu_, always.
   std::mutex flush_mu_;
 
-  /// Whoever holds this *is* the drain role: the background drainer and
-  /// any AwaitPublished waiter that drains the backlog itself (a commit
-  /// force should not wait for another thread to be scheduled just to
-  /// memcpy a few hundred bytes). The staging rings stay SPSC because
-  /// consumers are serialized here; the mutex hand-off orders the
-  /// consumer-side counter caches between them.
-  std::mutex drain_role_mu_;
-
-  /// Guards fd_, buffer_, buffer_start_ — the assembled tail. Producers
-  /// never take it; only the drainer (briefly, per assembled batch),
-  /// Flush, ReadRecord, and the lifecycle methods do. Never held across
-  /// disk I/O.
+  /// Guards fd_, buffer_, buffer_start_ — the tail — and the advance of
+  /// end_lsn_. Never held across disk I/O.
   mutable std::mutex mu_;
-
-  /// Signalled under mu_ when published_lsn_ crosses a registered waiter's
-  /// threshold (see min_awaited_), and unconditionally on Abandon.
-  std::condition_variable published_cv_;
-
-  /// Lowest LSN any AwaitPublished waiter is parked on; kNoAwaiter when
-  /// none. Guarded by mu_. Lets the drainer skip the per-splice notify
-  /// (a futex syscall whenever a flusher is parked) until a splice
-  /// actually satisfies somebody.
-  static constexpr Lsn kNoAwaiter = ~static_cast<Lsn>(0);
-  Lsn min_awaited_ = kNoAwaiter;
-
 
   std::string path_;
   int fd_ = -1;
   std::atomic<bool> open_{false};
-  /// Concurrent (drainer) mode flag; flipped only by StartDrainer/
-  /// StopDrainer with producers quiesced.
-  std::atomic<bool> concurrent_{false};
 
-  std::atomic<Lsn> end_lsn_{kHeaderSize};        ///< Reserved logical end.
-  std::atomic<Lsn> published_lsn_{kHeaderSize};  ///< Assembled prefix end.
+  std::atomic<Lsn> end_lsn_{kHeaderSize};  ///< Logical end.
   std::atomic<Lsn> flushed_lsn_{0};  ///< All records < this are durable.
   Lsn buffer_start_ = kHeaderSize;   ///< LSN of first byte in `buffer_`.
-  std::string buffer_;               ///< Assembled-but-unflushed bytes.
+  std::string buffer_;               ///< Appended-but-unflushed bytes.
   /// The prefix a running Flush stole from buffer_ (O(1) swap) and is
   /// writing with mu_ released; covers [flushing_start_, buffer_start_).
   /// Non-empty only while that I/O section is in flight — i.e. only while
@@ -342,28 +232,6 @@ class LogManager {
   std::atomic<std::uint64_t> appended_records_{0};
   std::atomic<std::uint64_t> appended_bytes_{0};
   std::atomic<std::uint64_t> forces_{0};
-
-  /// Registered producer staging buffers. Owned here (a producer thread
-  /// may exit while its records are still staged); cleared on Open. The
-  /// registry only grows between Opens, so the drainer can scan it with a
-  /// brief lock per sweep.
-  mutable std::mutex staging_mu_;
-  std::vector<std::unique_ptr<StagingBuffer>> staging_;
-  /// == staging_.size(); lets the drain role detect registry growth
-  /// without taking staging_mu_ every sweep.
-  std::atomic<std::size_t> staging_count_{0};
-  /// Registration epoch: thread-local caches of (log, buffer) pairs are
-  /// keyed by this, so a reopened or re-created LogManager never sees a
-  /// stale buffer pointer. Globally monotonic.
-  std::uint64_t staging_epoch_ = 0;
-
-  std::unique_ptr<LogDrainer> drainer_;
-
-  /// Drain-role-only scratch (DrainPublishedBatch, guarded by
-  /// drain_role_mu_): reused across sweeps so a sweep allocates nothing
-  /// once warm.
-  std::vector<StagingBuffer*> drain_scratch_;
-  std::string drain_batch_;
 
   FaultInjector* fault_ = nullptr;
   NodeId node_ = kInvalidNodeId;

@@ -170,8 +170,8 @@ TEST(ExecutionModeTest, SimAndRealThreadsConvergeToIdenticalCommittedState) {
 /// Real-threads crash drill: clients on nodes 1 and 2 hammer node 0's
 /// pages from their own threads (client-based logging — the redo for node
 /// 0's pages lives in the *clients'* logs, really fsync'd at each commit).
-/// Node 0 is then killed — worker thread stopped and joined, volatile
-/// state gone — and restarted. Every transaction that reported Commit OK
+/// Node 0 is then killed — execution context stopped, volatile state
+/// gone — and restarted. Every transaction that reported Commit OK
 /// before the crash must be readable afterwards. Two full cycles.
 TEST(ExecutionModeTest, RealModeCrashRestartConvergesOffFsyncedLogs) {
   TempDir dir;
@@ -220,9 +220,8 @@ TEST(ExecutionModeTest, RealModeCrashRestartConvergesOffFsyncedLogs) {
     c1.join();
     c2.join();
 
-    // Kill the owner: its worker thread is stopped and joined, the cache
-    // and lock tables are gone; only its disk and the clients' logs
-    // survive.
+    // Kill the owner: its execution context is stopped, the cache and
+    // lock tables are gone; only its disk and the clients' logs survive.
     ASSERT_OK(cluster.CrashNode(owner->id()));
     ASSERT_OK(cluster.RestartNode(owner->id()));
 

@@ -16,7 +16,7 @@ using testing::TempDir;
 /// re-entry at every phase boundary on either endpoint, graceful leaves,
 /// and joins — in both execution modes, since the ledger re-entry path
 /// must behave identically whether handlers run inline (simulation) or on
-/// per-node worker threads.
+/// real threads under per-node run tokens.
 
 /// A three-node cluster with one page per node and one committed record
 /// per page ("home<i>").

@@ -283,6 +283,18 @@ TEST(TraceExportTest, MsgNameResolverUsed) {
   EXPECT_NE(without.find("msg#"), std::string::npos) << without;
 }
 
+TEST(TraceExportTest, RestoreEventsFormatTheirPayload) {
+  TraceSink sink;
+  const PageId pid{1, 7};
+  sink.Emit(0, TraceEventType::kPageRestored, pid.Pack(), /*b=*/42,
+            /*c=*/1);
+  std::string text = FormatTrace(sink);
+  EXPECT_NE(text.find("PAGE_RESTORED"), std::string::npos) << text;
+  EXPECT_NE(text.find("page=" + pid.ToString() + " psn=42 source=peer_cache"),
+            std::string::npos)
+      << text;
+}
+
 TEST(TraceExportTest, ChromeJsonSpans) {
   TempDir dir;
   TraceSink sink;

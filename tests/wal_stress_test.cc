@@ -6,15 +6,15 @@
 #include <thread>
 #include <vector>
 
-#include "common/fsutil.h"
 #include "tests/test_util.h"
 #include "wal/log_manager.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
 
 /// \file
-/// Concurrency stress for the lock-free WAL front end (staging buffers +
-/// atomic LSN reservation + background drainer). Every test encodes
+/// Concurrency stress for the WAL append path: several producer threads
+/// append to one log, serialized by the log mutex, while a flusher forces
+/// the tail with that mutex released for the I/O. Every test encodes
 /// (producer, sequence) into each record so a reopen scan can prove the
 /// three invariants exactly: no record lost, none duplicated, and each
 /// producer's records in its append order. Run under -DCLOG_TSAN=ON by
@@ -65,12 +65,11 @@ TEST(WalStressTest, MultiProducerAppendFlushNoLossNoDupNoReorder) {
   TempDir dir;
   LogManager log;
   ASSERT_OK(log.Open(dir.path() + "/wal.log"));
-  log.StartDrainer();
 
   std::atomic<bool> stop_flusher{false};
   std::thread flusher([&] {
     // Group-commit shape: force the shared tail in a loop while producers
-    // hammer the lock-free append path.
+    // hammer the append path.
     while (!stop_flusher.load(std::memory_order_acquire)) {
       ASSERT_OK(log.Flush(log.end_lsn()));
       std::this_thread::yield();
@@ -91,8 +90,7 @@ TEST(WalStressTest, MultiProducerAppendFlushNoLossNoDupNoReorder) {
   flusher.join();
 
   EXPECT_EQ(log.appended_records(), kProducers * kPerProducer);
-  ASSERT_OK(log.Close());  // Drains to the barrier and forces everything.
-  EXPECT_EQ(log.published_lsn(), log.end_lsn());
+  ASSERT_OK(log.Close());  // Forces everything.
   EXPECT_EQ(log.flushed_lsn(), log.end_lsn());
 
   LogManager reopened;
@@ -113,7 +111,6 @@ TEST(WalStressTest, AbandonMidStreamLosesOnlyUnforcedSuffix) {
   TempDir dir;
   LogManager log;
   ASSERT_OK(log.Open(dir.path() + "/wal.log"));
-  log.StartDrainer();
 
   // Producers append until the crash kicks them out; each counts its own
   // successful appends.
@@ -136,7 +133,7 @@ TEST(WalStressTest, AbandonMidStreamLosesOnlyUnforcedSuffix) {
     }
   });
 
-  // Let the storm run, sample the durable horizon, then crash mid-drain.
+  // Let the storm run, sample the durable horizon, then crash mid-stream.
   while (log.flushed_lsn() < LogManager::first_lsn() + 64 * 1024) {
     std::this_thread::yield();
   }
@@ -155,8 +152,8 @@ TEST(WalStressTest, AbandonMidStreamLosesOnlyUnforcedSuffix) {
       ScanByProducer(&reopened, kProducers);
   for (int p = 0; p < kProducers; ++p) {
     // The surviving records are exactly a prefix of the producer's append
-    // order: the crash lost only a suffix (unpublished or unforced), never
-    // a middle record, a duplicate, or a reordering.
+    // order: the crash lost only the unforced suffix, never a middle
+    // record, a duplicate, or a reordering.
     ASSERT_LE(seqs[p].size(), appended[p]) << "producer " << p;
     for (std::uint64_t i = 0; i < seqs[p].size(); ++i) {
       ASSERT_EQ(seqs[p][i], i) << "producer " << p;
@@ -170,11 +167,10 @@ TEST(WalStressTest, CapacityIsExactUnderConcurrentAppends) {
   TempDir dir;
   LogManager log;
   ASSERT_OK(log.Open(dir.path() + "/wal.log"));
-  // Small bound so every producer slams into it; the reservation CAS must
-  // never let two racing appends jointly overshoot.
+  // Small bound so every producer slams into it; two racing appends must
+  // never jointly overshoot.
   constexpr std::uint64_t kCapacity = 96 * 1024;
   log.set_capacity(kCapacity);
-  log.StartDrainer();
 
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> refused{0};
@@ -209,45 +205,12 @@ TEST(WalStressTest, CapacityIsExactUnderConcurrentAppends) {
   ASSERT_OK(log.Close());
 }
 
-TEST(WalStressTest, ConcurrentAndInlineModesProduceIdenticalBytes) {
-  // The drainer is a performance feature, not a format: the same appends
-  // through the staged path and the inline path must produce files that
-  // are byte-for-byte identical.
-  TempDir dir;
-  const std::string inline_path = dir.path() + "/inline.log";
-  const std::string staged_path = dir.path() + "/staged.log";
-  {
-    LogManager log;
-    ASSERT_OK(log.Open(inline_path));
-    for (std::uint64_t seq = 0; seq < 200; ++seq) {
-      Lsn lsn = kNullLsn;
-      ASSERT_OK(log.Append(MakeRecord(0, seq), &lsn));
-    }
-    ASSERT_OK(log.Close());
-  }
-  {
-    LogManager log;
-    ASSERT_OK(log.Open(staged_path));
-    log.StartDrainer();
-    for (std::uint64_t seq = 0; seq < 200; ++seq) {
-      Lsn lsn = kNullLsn;
-      ASSERT_OK(log.Append(MakeRecord(0, seq), &lsn));
-    }
-    ASSERT_OK(log.Close());
-  }
-  std::string a, b;
-  ASSERT_OK(ReadFileToString(inline_path, &a));
-  ASSERT_OK(ReadFileToString(staged_path, &b));
-  EXPECT_EQ(a, b);
-}
-
 TEST(WalStressTest, IsOpenIsLockFreeAndTracksLifecycle) {
   TempDir dir;
   LogManager log;
   EXPECT_FALSE(log.is_open());
   ASSERT_OK(log.Open(dir.path() + "/wal.log"));
   EXPECT_TRUE(log.is_open());
-  log.StartDrainer();
 
   // Observer thread polls is_open while a producer appends: no lock, no
   // race (TSan-checked), and the flag flips exactly at Abandon.
