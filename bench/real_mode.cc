@@ -2,16 +2,21 @@
 //
 // Everything in the other bench binaries runs on the deterministic
 // simulator and reports *simulated* time. This binary measures the log
-// append path on real threads, a real clock and real fsyncs, reporting
-// wall-clock latency distributions the way log libraries (NanoLog, spdlog)
-// report theirs — exact p50/p99.9 over raw per-operation samples, not
-// histogram interpolation. End-to-end commit and restart latency on real
-// threads are perfbench's job (perfbench/README.md).
+// append and scan paths on real threads, a real clock and real fsyncs,
+// reporting wall-clock latency distributions the way log libraries
+// (NanoLog, spdlog) report theirs — exact p50/p99.9 over raw
+// per-operation samples, not histogram interpolation. End-to-end commit
+// and restart latency on real threads are perfbench's job
+// (perfbench/README.md).
 //
 //   BM_LogAppend   N producer threads (1/2/4) appending 64-byte update
 //                  records to ONE shared LogManager while a flusher thread
 //                  forces the tail. Measures the per-append critical
 //                  section under contention.
+//   BM_LogScan     One LogCursor scanning a durable log of 100k update
+//                  records (64-byte after-images) from its first record to
+//                  its end: the forward-scan read path that restart
+//                  analysis, PSN-list construction and redo run on.
 //
 // Results go to BENCH_real.json (scripts/run_bench.sh --real). They are
 // wall-clock and machine-dependent: recorded for eyeballing trends, never
@@ -28,6 +33,7 @@
 
 #include "bench/bench_util.h"
 #include "wal/log_manager.h"
+#include "wal/log_reader.h"
 
 using namespace clog;
 using namespace clog::bench;
@@ -120,6 +126,60 @@ LatencyStats MeasureLogAppend(int producers, int appends_per_producer) {
   return Summarize(std::move(all), wall);
 }
 
+struct ScanStats {
+  double records_per_sec = 0;
+  double ns_per_record = 0;
+};
+
+/// Median of `passes` full scans of one durable log of `records` records.
+ScanStats MeasureLogScan(int records, int passes) {
+  // /dev/shm for the same reason as MeasureLogAppend: this measures the
+  // read path (syscalls, copies, checksum, decode), not a device.
+  std::string dir = "/dev/shm/clog_bench_real_scan";
+  std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str());
+  LogManager log;
+  Check(log.Open(dir + "/wal.log"), "log open");
+  LogRecord rec;
+  rec.type = LogRecordType::kUpdate;
+  rec.txn = 1;
+  rec.op = RecordOp::kUpdate;
+  rec.redo_image.assign(64, 'r');
+  for (int i = 0; i < records; ++i) {
+    rec.page = PageId{0, static_cast<std::uint32_t>(i % 64)};
+    rec.psn_before = static_cast<Psn>(i);
+    Lsn lsn = 0;
+    Check(log.Append(rec, &lsn), "append");
+  }
+  Check(log.Flush(log.end_lsn()), "flush");
+
+  std::vector<std::uint64_t> pass_ns;
+  for (int p = 0; p < passes; ++p) {
+    LogCursor cursor(&log, LogManager::first_lsn());
+    LogRecord got;
+    Status st;
+    const std::uint64_t t0 = NowNs();
+    while (cursor.Next(&got, nullptr, &st)) {
+    }
+    pass_ns.push_back(NowNs() - t0);
+    Check(st, "scan");
+    if (cursor.records_read() != static_cast<std::uint64_t>(records)) {
+      std::fprintf(stderr, "BENCH FATAL scan returned %llu of %d records\n",
+                   static_cast<unsigned long long>(cursor.records_read()),
+                   records);
+      std::exit(1);
+    }
+  }
+  Check(log.Close(), "log close");
+  std::system(("rm -rf " + dir).c_str());
+
+  std::sort(pass_ns.begin(), pass_ns.end());
+  const double median = static_cast<double>(pass_ns[pass_ns.size() / 2]);
+  ScanStats out;
+  out.ns_per_record = median / records;
+  out.records_per_sec = median == 0 ? 0 : records * 1e9 / median;
+  return out;
+}
+
 void WriteJson(const std::string& path,
                const std::vector<std::pair<std::string, double>>& kv) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -152,9 +212,9 @@ int main(int argc, char** argv) {
   const int appends = quick ? 5'000 : 1'000'000;
 
   Banner("real mode (wall clock)",
-         "Multi-producer log append latency on real threads. Raw-sample "
-         "p50/p99.9 in microseconds; machine-dependent, recorded but never "
-         "gated.");
+         "Multi-producer log append latency on real threads, and the speed "
+         "of a full forward log scan. Raw-sample p50/p99.9 in "
+         "microseconds; machine-dependent, recorded but never gated.");
 
   std::vector<std::pair<std::string, double>> kv;
 
@@ -171,6 +231,17 @@ int main(int argc, char** argv) {
     kv.push_back({key + "_p50_ns", st.p50_ns});
     kv.push_back({key + "_p999_ns", st.p999_ns});
   }
+
+  const int scan_records = quick ? 5'000 : 100'000;
+  const int scan_passes = quick ? 3 : 11;
+  std::printf("\n--- BM_LogScan: durable log of %d update records, median of "
+              "%d full scans ---\n",
+              scan_records, scan_passes);
+  ScanStats scan = MeasureLogScan(scan_records, scan_passes);
+  std::printf("%12s %12s\n", "records/s", "ns/record");
+  std::printf("%12.0f %12.1f\n", scan.records_per_sec, scan.ns_per_record);
+  kv.push_back({"real_log_scan_records_per_sec", scan.records_per_sec});
+  kv.push_back({"real_log_scan_ns_per_record", scan.ns_per_record});
 
   if (!json_path.empty()) {
     WriteJson(json_path, kv);

@@ -7,8 +7,8 @@
 #include <numeric>
 #include <thread>
 
-#include "common/crc32c.h"
 #include "storage/slotted_page.h"
+#include "wal/log_reader.h"
 #include "wal/log_record.h"
 
 namespace clog {
@@ -59,10 +59,9 @@ class Dsu {
   std::vector<std::size_t> parent_;
 };
 
-/// One routed frame: still raw — the worker checksums and decodes it.
+/// One routed frame: checksummed by the scan, decoded by the worker.
 struct RoutedFrame {
   Lsn lsn = kNullLsn;
-  std::uint32_t crc = 0;
   std::size_t task = 0;  ///< Index into *tasks.
   std::string body;
 };
@@ -90,15 +89,11 @@ Status ApplyFrame(const LogRecord& rec, Page* page) {
   return Status::OK();
 }
 
-/// Replays one chain: CRC check, decode, apply-when-PSN-matches, in LSN
-/// order. Tasks are page-disjoint across chains, so no synchronization.
+/// Replays one chain: decode, apply-when-PSN-matches, in LSN order. Tasks
+/// are page-disjoint across chains, so no synchronization.
 Status ReplayChain(const std::vector<RoutedFrame*>& frames,
                    std::vector<RedoPageTask>* tasks) {
   for (const RoutedFrame* f : frames) {
-    if (crc32c::Value(f->body.data(), f->body.size()) != f->crc) {
-      return Status::Corruption("log record crc mismatch at lsn " +
-                                std::to_string(f->lsn));
-    }
     LogRecord rec;
     CLOG_RETURN_IF_ERROR(LogRecord::DecodeFrom(f->body, &rec));
     RedoPageTask& task = (*tasks)[f->task];
@@ -130,6 +125,7 @@ Status RedoScheduler::Run(std::vector<RedoPageTask>* tasks,
       scan_start = t.start_lsn;
     }
   }
+  if (scan_start == kNullLsn) return Status::OK();  // Nothing to scan.
 
   // --- Single raw pass: route frames, grow the dependency graph. ---
   Dsu dsu(tasks->size());
@@ -140,24 +136,19 @@ Status RedoScheduler::Run(std::vector<RedoPageTask>* tasks,
     return it->second;
   };
   std::vector<RoutedFrame> routed;
-  const Lsn end = log_->end_lsn();
-  for (Lsn lsn = scan_start; lsn != kNullLsn && lsn < end;) {
-    RoutedFrame f;
-    Lsn next = kNullLsn;
-    CLOG_RETURN_IF_ERROR(log_->ReadRawFrame(lsn, &f.body, &f.crc, &next));
-    if (f.body.empty()) {
-      return Status::Corruption("empty log frame at lsn " +
-                                std::to_string(lsn));
-    }
-    const std::uint8_t type8 = static_cast<std::uint8_t>(f.body[0]);
+  LogCursor cursor(log_, scan_start);
+  Slice body;
+  Lsn lsn = kNullLsn;
+  Status scan_status;
+  while (cursor.NextFrame(&body, &lsn, &scan_status)) {
+    const std::uint8_t type8 = static_cast<std::uint8_t>(body[0]);
     if (IsUpdateType(type8)) {
-      if (f.body.size() < kUpdateHeaderSize) {
+      if (body.size() < kUpdateHeaderSize) {
         return Status::Corruption("short update frame at lsn " +
                                   std::to_string(lsn));
       }
-      const PageId pid =
-          PageId::Unpack(LoadU64(f.body.data() + kPageOffset));
-      const TxnId txn = LoadU64(f.body.data() + kTxnOffset);
+      const PageId pid = PageId::Unpack(LoadU64(body.data() + kPageOffset));
+      const TxnId txn = LoadU64(body.data() + kTxnOffset);
       auto it = task_of_page.find(pid);
       if (it != task_of_page.end() &&
           (*tasks)[it->second].start_lsn != kNullLsn &&
@@ -168,9 +159,7 @@ Status RedoScheduler::Run(std::vector<RedoPageTask>* tasks,
             skip_txns_->count(txn) != 0;
         if (!skip) {
           dsu.Union(it->second, vertex_of(txn));
-          f.lsn = lsn;
-          f.task = it->second;
-          routed.push_back(std::move(f));
+          routed.push_back(RoutedFrame{lsn, it->second, body.ToString()});
         }
       }
     } else if (type8 == static_cast<std::uint8_t>(LogRecordType::kCommit)) {
@@ -178,7 +167,7 @@ Status RedoScheduler::Run(std::vector<RedoPageTask>* tasks,
       // transaction follows its predecessors, so their chains must not
       // split. (Cheap decode: commit bodies are a few dozen bytes.)
       LogRecord rec;
-      CLOG_RETURN_IF_ERROR(LogRecord::DecodeFrom(f.body, &rec));
+      CLOG_RETURN_IF_ERROR(LogRecord::DecodeFrom(body, &rec));
       if (!rec.commit_deps.empty()) {
         const std::size_t me = vertex_of(rec.txn);
         for (const CommitDep& d : rec.commit_deps) {
@@ -186,8 +175,8 @@ Status RedoScheduler::Run(std::vector<RedoPageTask>* tasks,
         }
       }
     }
-    lsn = next;
   }
+  CLOG_RETURN_IF_ERROR(scan_status);
   stats->records_routed = routed.size();
 
   // --- Partition into chains (stable: scan order == LSN order). ---

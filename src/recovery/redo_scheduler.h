@@ -15,14 +15,15 @@
 /// redo"). Restart redo of pages whose entire history lives in the local
 /// log needs no Section 2.3.4 cross-node bouncing — but the legacy path
 /// still replays them one page at a time, rescanning the log per page.
-/// The scheduler instead makes ONE raw pass over the log, routes each
+/// The scheduler instead makes ONE raw pass over the log (a LogCursor,
+/// which reads in blocks and checks every frame's CRC), routes each
 /// update frame (undecoded — a 36-byte header peek) to its page, and
 /// partitions the work into independent chains: the connected components
 /// of the bipartite transaction/page graph, with commit-dependency edges
 /// (CommitDep entries on adaptive commit records) merged in. Chains touch
 /// disjoint page sets by construction, so workers replay them with no
-/// locks: each worker checksums, decodes, and applies its chains' frames
-/// onto private page images. Real-threads mode uses a worker pool; the
+/// locks: each worker decodes and applies its chains' frames onto private
+/// page images. Real-threads mode uses a worker pool; the
 /// simulation replays chains sequentially in deterministic order.
 
 namespace clog {

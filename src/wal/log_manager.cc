@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include "common/fsutil.h"
 #include "fault/fault_injector.h"
 #include "trace/trace_sink.h"
+#include "wal/log_reader.h"
 
 namespace clog {
 
@@ -23,8 +25,9 @@ std::string Errno(const std::string& what) {
   return what + ": " + std::strerror(errno);
 }
 
-// Record framing: u32 body_len | u32 crc32c(body) | body.
-constexpr std::size_t kFrameOverhead = 8;
+// ReadRecord's read: covers a typical record's whole frame, so random
+// access costs one pread; a larger frame costs a second.
+constexpr std::size_t kRandomReadSize = 512;
 
 }  // namespace
 
@@ -37,28 +40,38 @@ LogManager::~LogManager() {
 }
 
 Status LogManager::Open(const std::string& path) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (fd_ >= 0) return Status::FailedPrecondition("already open");
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) return Status::IOError(Errno("open " + path));
-  fd_ = fd;
-  path_ = path;
-  struct stat st;
-  if (::fstat(fd_, &st) != 0) return Status::IOError(Errno("fstat"));
-  if (st.st_size == 0) {
-    CLOG_RETURN_IF_ERROR(WriteHeader());
-    end_lsn_ = kHeaderSize;
-    flushed_lsn_ = kHeaderSize;
-  } else {
-    CLOG_RETURN_IF_ERROR(RecoverTail());
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (fd_ >= 0) return Status::FailedPrecondition("already open");
+    int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+    if (fd < 0) return Status::IOError(Errno("open " + path));
+    fd_ = fd;
+    path_ = path;
+    struct stat st;
+    if (::fstat(fd_, &st) != 0) return Status::IOError(Errno("fstat"));
+    std::uint64_t size = static_cast<std::uint64_t>(st.st_size);
+    if (size == 0) {
+      CLOG_RETURN_IF_ERROR(WriteHeader());
+      size = kHeaderSize;
+    }
+    // The whole file counts as durable until RecoverTail has scanned it.
+    end_lsn_ = size;
+    flushed_lsn_ = size;
+    buffer_start_ = size;
+    buffer_.clear();
+    flushing_chunk_.clear();
+    flushing_start_ = size;
+    reclaimable_lsn_ = kHeaderSize;
+    open_.store(true, std::memory_order_release);
   }
-  buffer_start_ = end_lsn_.load(std::memory_order_relaxed);
-  reclaimable_lsn_ = kHeaderSize;
-  buffer_.clear();
-  flushing_chunk_.clear();
-  flushing_start_ = buffer_start_;
-  open_.store(true, std::memory_order_release);
-  return Status::OK();
+  Status st = RecoverTail();
+  if (!st.ok()) {
+    open_.store(false, std::memory_order_release);
+    std::lock_guard<std::mutex> lk(mu_);
+    ::close(fd_);
+    fd_ = -1;
+  }
+  return st;
 }
 
 Status LogManager::WriteHeader() {
@@ -76,37 +89,25 @@ Status LogManager::WriteHeader() {
 }
 
 Status LogManager::RecoverTail() {
-  // Walk whole frames from the header until a torn/invalid frame or EOF;
-  // the end LSN is the end of the last valid frame. A torn tail (crash in
-  // mid-write) is expected and silently truncated, per standard WAL
-  // practice: anything past the last complete frame was never acknowledged.
-  struct stat st;
-  if (::fstat(fd_, &st) != 0) return Status::IOError(Errno("fstat"));
-  std::uint64_t size = static_cast<std::uint64_t>(st.st_size);
-  std::uint64_t pos = kHeaderSize;
-  char frame_hdr[kFrameOverhead];
-  std::string body;
-  while (pos + kFrameOverhead <= size) {
-    if (::pread(fd_, frame_hdr, kFrameOverhead, static_cast<off_t>(pos)) !=
-        static_cast<ssize_t>(kFrameOverhead)) {
-      break;
-    }
-    std::uint32_t len, crc;
-    std::memcpy(&len, frame_hdr, 4);
-    std::memcpy(&crc, frame_hdr + 4, 4);
-    if (len == 0 || pos + kFrameOverhead + len > size) break;
-    body.resize(len);
-    if (::pread(fd_, body.data(), len,
-                static_cast<off_t>(pos + kFrameOverhead)) !=
-        static_cast<ssize_t>(len)) {
-      break;
-    }
-    if (crc32c::Value(body.data(), len) != crc) break;
-    pos += kFrameOverhead + len;
+  // Walk whole frames from the header until a torn/invalid frame or EOF
+  // (Open set end_lsn_ to the file size); the end LSN is the end of the
+  // last valid frame. A torn tail (crash in mid-write) is expected and
+  // silently truncated, per standard WAL practice: anything past the last
+  // complete frame was never acknowledged. A failed read is not a torn
+  // frame, so it fails the open instead of truncating durable records.
+  LogCursor cursor(this, first_lsn());
+  Slice body;
+  Status scan;
+  while (cursor.NextFrame(&body, nullptr, &scan)) {
   }
-  end_lsn_ = pos;
-  flushed_lsn_ = pos;
-  if (::ftruncate(fd_, static_cast<off_t>(pos)) != 0) {
+  if (!scan.ok() && !scan.IsCorruption()) return scan;
+  const Lsn end = cursor.position();
+  std::lock_guard<std::mutex> lk(mu_);
+  end_lsn_ = end;
+  flushed_lsn_ = end;
+  buffer_start_ = end;
+  flushing_start_ = end;
+  if (::ftruncate(fd_, static_cast<off_t>(end)) != 0) {
     return Status::IOError(Errno("ftruncate torn log tail"));
   }
   return Status::OK();
@@ -223,7 +224,7 @@ Status LogManager::FlushLocked(Lsn up_to, std::unique_lock<std::mutex>& lk) {
   // flushed_lsn_ only ever advances over a fully durable prefix; fd_ is
   // stable because teardown (Close and Abandon) also takes flush_mu_
   // before closing it. While the chunk is in flight its bytes live in
-  // neither buffer_ nor the durable file — ReadRecord serves them from
+  // neither buffer_ nor the durable file — ReadBlock serves them from
   // flushing_chunk_.
   std::swap(flushing_chunk_, buffer_);
   buffer_.clear();
@@ -261,68 +262,66 @@ Status LogManager::FlushLocked(Lsn up_to, std::unique_lock<std::mutex>& lk) {
 }
 
 Status LogManager::ReadRecord(Lsn lsn, LogRecord* rec, Lsn* next_lsn) {
-  std::string body;
-  std::uint32_t crc = 0;
-  CLOG_RETURN_IF_ERROR(ReadRawFrame(lsn, &body, &crc, next_lsn));
-  if (crc32c::Value(body.data(), body.size()) != crc) {
-    return Status::Corruption("log record crc mismatch at lsn " +
-                              std::to_string(lsn));
+  if (!is_open()) return Status::FailedPrecondition("log not open");
+  LogCursor cursor(this, lsn, kRandomReadSize);
+  Status st;
+  if (!cursor.Next(rec, nullptr, &st)) {
+    // The cursor's clean end: `lsn` is at or past the end of the log.
+    return st.ok() ? Status::NotFound("lsn " + std::to_string(lsn) +
+                                      " out of range")
+                   : st;
   }
-  return LogRecord::DecodeFrom(body, rec);
+  if (next_lsn != nullptr) *next_lsn = cursor.position();
+  return Status::OK();
 }
 
-Status LogManager::ReadRawFrame(Lsn lsn, std::string* body,
-                                std::uint32_t* crc, Lsn* next_lsn) {
+Status LogManager::ReadBlock(Lsn lsn, std::size_t need, std::size_t want,
+                             std::string* block) {
+  block->clear();
   std::lock_guard<std::mutex> lk(mu_);
   if (fd_ < 0) return Status::FailedPrecondition("log not open");
-  if (lsn < kHeaderSize || lsn >= end_lsn_.load(std::memory_order_acquire)) {
-    return Status::NotFound("lsn " + std::to_string(lsn) + " out of range");
-  }
-  char frame_hdr[kFrameOverhead];
+  // The log's bytes live in three parts, oldest first: the durable file,
+  // the chunk an in-flight Flush is writing, and the tail buffer.
+  const std::string* mem = nullptr;
+  Lsn mem_start = kNullLsn;
   if (lsn >= buffer_start_) {
-    // Still in the tail buffer.
-    std::size_t off = static_cast<std::size_t>(lsn - buffer_start_);
-    if (off + kFrameOverhead > buffer_.size()) {
-      return Status::Corruption("buffered frame header out of range");
-    }
-    std::memcpy(frame_hdr, buffer_.data() + off, kFrameOverhead);
-    std::uint32_t len;
-    std::memcpy(&len, frame_hdr, 4);
-    if (off + kFrameOverhead + len > buffer_.size()) {
-      return Status::Corruption("buffered frame body out of range");
-    }
-    body->assign(buffer_.data() + off + kFrameOverhead, len);
+    mem = &buffer_;
+    mem_start = buffer_start_;
   } else if (!flushing_chunk_.empty() && lsn >= flushing_start_) {
-    // In the chunk a concurrent Flush is writing right now: not in
-    // buffer_ any more, not yet durable on disk. Read-only access races
-    // nothing — the flusher only mutates the chunk under mu_.
-    std::size_t off = static_cast<std::size_t>(lsn - flushing_start_);
-    if (off + kFrameOverhead > flushing_chunk_.size()) {
-      return Status::Corruption("in-flight frame header out of range");
-    }
-    std::memcpy(frame_hdr, flushing_chunk_.data() + off, kFrameOverhead);
-    std::uint32_t len;
-    std::memcpy(&len, frame_hdr, 4);
-    if (off + kFrameOverhead + len > flushing_chunk_.size()) {
-      return Status::Corruption("in-flight frame body out of range");
-    }
-    body->assign(flushing_chunk_.data() + off + kFrameOverhead, len);
-  } else {
-    if (::pread(fd_, frame_hdr, kFrameOverhead, static_cast<off_t>(lsn)) !=
-        static_cast<ssize_t>(kFrameOverhead)) {
-      return Status::IOError(Errno("pread log frame"));
-    }
-    std::uint32_t len;
-    std::memcpy(&len, frame_hdr, 4);
-    body->resize(len);
-    if (::pread(fd_, body->data(), len,
-                static_cast<off_t>(lsn + kFrameOverhead)) !=
-        static_cast<ssize_t>(len)) {
-      return Status::IOError(Errno("pread log body"));
-    }
+    // Read-only access races nothing: the flusher mutates the chunk only
+    // under mu_.
+    mem = &flushing_chunk_;
+    mem_start = flushing_start_;
   }
-  std::memcpy(crc, frame_hdr + 4, 4);
-  if (next_lsn != nullptr) *next_lsn = lsn + kFrameOverhead + body->size();
+  if (mem != nullptr) {
+    const std::size_t off = static_cast<std::size_t>(lsn - mem_start);
+    if (off + need > mem->size()) {
+      return Status::Corruption("log frame at lsn " + std::to_string(lsn) +
+                                " runs past the buffered tail");
+    }
+    block->assign(mem->data() + off, std::min(want, mem->size() - off));
+    return Status::OK();
+  }
+  // Only bytes a finished flush wrote: the in-flight chunk's file range
+  // may be half written.
+  const Lsn durable_end =
+      flushing_chunk_.empty() ? buffer_start_ : flushing_start_;
+  if (lsn + need > durable_end) {
+    return Status::Corruption("log frame at lsn " + std::to_string(lsn) +
+                              " runs past the durable log");
+  }
+  const std::size_t n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(want, durable_end - lsn));
+  block->resize(n);
+  reads_.fetch_add(1, std::memory_order_relaxed);
+  const ssize_t got =
+      ::pread(fd_, block->data(), n, static_cast<off_t>(lsn));
+  if (got != static_cast<ssize_t>(n)) {
+    block->clear();
+    return Status::IOError(got < 0 ? Errno("pread log")
+                                   : "pread log: short read at lsn " +
+                                         std::to_string(lsn));
+  }
   return Status::OK();
 }
 

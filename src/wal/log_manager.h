@@ -46,7 +46,9 @@ class TraceSink;
 /// runs under that node's run token (net/executor.h), so the mutex is
 /// uncontended there too; it still makes any number of concurrent
 /// producers and flushers safe. Flush writes and syncs with the mutex
-/// released, so appends continue during the force. The LSN watermarks
+/// released, so appends continue during the force. Readers take the mutex
+/// once per block they fill (LogCursor) or per record (ReadRecord), so
+/// scans run alongside appends and flushes. The LSN watermarks
 /// (`end_lsn`, `flushed_lsn`) and `is_open()` are atomics for lock-free
 /// readers.
 ///
@@ -89,17 +91,13 @@ class LogManager {
   /// entire buffer is written, one fsync). No-op if already durable.
   Status Flush(Lsn up_to);
 
-  /// Reads the record at `lsn` (possibly still unflushed). Returns the LSN
-  /// of the following record via `*next_lsn` if non-null.
+  /// Random-access read of the record at `lsn` (possibly still unflushed):
+  /// undo's backward walks and the checkpoint master. Returns the LSN of
+  /// the following record via `*next_lsn` if non-null. Forward scans use
+  /// LogCursor (wal/log_reader.h), which reads the log in blocks; this
+  /// parses the one frame with a LogCursor whose reads are 512 bytes, so
+  /// a typical record costs one pread.
   Status ReadRecord(Lsn lsn, LogRecord* rec, Lsn* next_lsn = nullptr);
-
-  /// Reads the raw frame at `lsn`: the undecoded record body plus the CRC
-  /// the frame header stores for it, verifying neither. The parallel redo
-  /// scheduler uses this to move checksum + decode work off the
-  /// coordinating thread; callers must check crc32c::Value(body) == crc
-  /// before decoding.
-  Status ReadRawFrame(Lsn lsn, std::string* body, std::uint32_t* crc,
-                      Lsn* next_lsn = nullptr);
 
   /// LSN that the *next* appended record will get (current logical end).
   Lsn end_lsn() const { return end_lsn_.load(std::memory_order_acquire); }
@@ -173,6 +171,11 @@ class LogManager {
   std::uint64_t forces() const {
     return forces_.load(std::memory_order_relaxed);
   }
+  /// pread calls issued by readers: LogCursor blocks, ReadRecord and the
+  /// reopen scan. Reads served from the unflushed tail are not counted.
+  std::uint64_t reads() const {
+    return reads_.load(std::memory_order_relaxed);
+  }
 
   /// Attaches a fault injector consulted on Flush (fsync failure) and
   /// Abandon (torn tail) as `node` (nullptr detaches). Not owned.
@@ -189,11 +192,25 @@ class LogManager {
   }
 
  private:
+  friend class LogCursor;
+
   static constexpr std::uint64_t kHeaderSize = 64;
   static constexpr std::uint32_t kLogMagic = 0x434C4F4C;  // "CLOL"
+  /// Record framing: u32 body_len | u32 crc32c(body) | body.
+  static constexpr std::size_t kFrameOverhead = 8;
 
   Status WriteHeader();
   Status RecoverTail();
+
+  /// LogCursor's only source of bytes. Replaces `*block` with the log bytes
+  /// from `lsn` on: `want` of them, or fewer where the part of the log
+  /// holding `lsn` ends, but never fewer than `need` (else Corruption,
+  /// before anything is allocated). Durable bytes come from one pread;
+  /// bytes of the unflushed tail or of an in-flight flush chunk from one
+  /// copy under mu_. Frames never straddle those parts, because Flush
+  /// moves whole frames.
+  Status ReadBlock(Lsn lsn, std::size_t need, std::size_t want,
+                   std::string* block);
 
   /// Flush body; caller holds flush_mu_ and mu_ (via `lk`). The
   /// write+fsync itself runs with mu_ RELEASED, so producers keep
@@ -207,7 +224,8 @@ class LogManager {
   std::mutex flush_mu_;
 
   /// Guards fd_, buffer_, buffer_start_ — the tail — and the advance of
-  /// end_lsn_. Never held across disk I/O.
+  /// end_lsn_. Never held across a write or a sync; ReadBlock holds it
+  /// across one pread, so Abandon cannot close the fd beneath the read.
   mutable std::mutex mu_;
 
   std::string path_;
@@ -222,7 +240,7 @@ class LogManager {
   /// writing with mu_ released; covers [flushing_start_, buffer_start_).
   /// Non-empty only while that I/O section is in flight — i.e. only while
   /// some thread holds flush_mu_ — so teardown, which takes flush_mu_
-  /// first, never sees one. ReadRecord serves these bytes from here.
+  /// first, never sees one. ReadBlock serves these bytes from here.
   std::string flushing_chunk_;
   Lsn flushing_start_ = kHeaderSize;
 
@@ -232,6 +250,7 @@ class LogManager {
   std::atomic<std::uint64_t> appended_records_{0};
   std::atomic<std::uint64_t> appended_bytes_{0};
   std::atomic<std::uint64_t> forces_{0};
+  std::atomic<std::uint64_t> reads_{0};
 
   FaultInjector* fault_ = nullptr;
   NodeId node_ = kInvalidNodeId;

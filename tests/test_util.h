@@ -38,19 +38,23 @@ class TempDir {
 
 }  // namespace clog::testing
 
-/// gtest-friendly Status assertions.
-#define ASSERT_OK(expr)                                            \
-  do {                                                             \
-    ::clog::Status _assert_ok_st = (expr);                          \
-    ASSERT_TRUE(_assert_ok_st.ok())                              \
-        << "status: " << _assert_ok_st.ToString();         \
+/// gtest-friendly Status assertions. Each expansion names its temporary
+/// uniquely, so the macros nest (a lambda inside an ASSERT_OK argument
+/// may use EXPECT_OK) without one temporary shadowing another.
+#define ASSERT_OK(expr) \
+  CLOG_ASSERT_OK_IMPL_(expr, CLOG_TEST_CONCAT_(_assert_ok_st_, __COUNTER__))
+#define CLOG_ASSERT_OK_IMPL_(expr, st)                   \
+  do {                                                   \
+    ::clog::Status st = (expr);                          \
+    ASSERT_TRUE(st.ok()) << "status: " << st.ToString(); \
   } while (0)
 
-#define EXPECT_OK(expr)                                            \
-  do {                                                             \
-    ::clog::Status _expect_ok_st = (expr);                          \
-    EXPECT_TRUE(_expect_ok_st.ok())                              \
-        << "status: " << _expect_ok_st.ToString();         \
+#define EXPECT_OK(expr) \
+  CLOG_EXPECT_OK_IMPL_(expr, CLOG_TEST_CONCAT_(_expect_ok_st_, __COUNTER__))
+#define CLOG_EXPECT_OK_IMPL_(expr, st)                   \
+  do {                                                   \
+    ::clog::Status st = (expr);                          \
+    EXPECT_TRUE(st.ok()) << "status: " << st.ToString(); \
   } while (0)
 
 #define ASSERT_OK_AND_ASSIGN(lhs, rexpr)                           \

@@ -259,7 +259,9 @@ TEST_P(ElasticShardTest, ThirtyTwoSeeds) {
   // handoff phase boundaries.
   EXPECT_GT(total_handoffs, 0u);
   EXPECT_GT(total_membership, 0u);
-  if (shard == 1) EXPECT_GT(total_handoff_crashes, 0u);
+  if (shard == 1) {
+    EXPECT_GT(total_handoff_crashes, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Torture, ElasticShardTest, ::testing::Range(0, 2));
