@@ -47,7 +47,7 @@ VariantRow RunVariant(bool instant) {
   ClusterOptions options;
   options.dir = dir;
   options.fault_injector = &injector;
-  options.node_defaults.logging_policy = LoggingPolicy().WithArchiveEvery(1);
+  options.node_defaults.logging_policy = LoggingPolicy().WithArchive(true);
   options.node_defaults.instant_restore.enabled = instant;
   Cluster cluster(options);
   Node* a = Value(cluster.AddNode(), "AddNode a");

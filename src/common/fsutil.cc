@@ -6,8 +6,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
+
+#include "common/codec.h"
+#include "common/crc32c.h"
 
 namespace clog {
 namespace {
@@ -55,16 +56,53 @@ Status AtomicWriteFile(const std::string& path, const std::string& blob) {
 }
 
 Status ReadFileToString(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return Status::NotFound("no such file: " + path);
-  out->assign((std::istreambuf_iterator<char>(in)),
-              std::istreambuf_iterator<char>());
-  return Status::OK();
+  out->clear();
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return errno == ENOENT ? Status::NotFound("no such file: " + path)
+                           : Status::IOError(Errno("open " + path));
+  }
+  char buf[8192];
+  ssize_t n;
+  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+    out->append(buf, static_cast<std::size_t>(n));
+  }
+  Status st = n < 0 ? Status::IOError(Errno("read " + path)) : Status::OK();
+  ::close(fd);
+  return st;
 }
 
 Status RemoveFileIfExists(const std::string& path) {
   if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
     return Status::IOError(Errno("unlink " + path));
+  }
+  return Status::OK();
+}
+
+Status WriteRecordFile(const std::string& path, std::uint32_t magic,
+                       Slice body) {
+  std::string blob;
+  blob.reserve(body.size() + 8);
+  Encoder enc(&blob);
+  enc.PutU32(magic);
+  enc.PutRaw(body);
+  enc.PutU32(crc32c::Value(blob.data(), blob.size()));
+  return AtomicWriteFile(path, blob);
+}
+
+Status ReadRecordFile(const std::string& path, std::uint32_t magic,
+                      std::string* body) {
+  std::string blob;
+  CLOG_RETURN_IF_ERROR(ReadFileToString(path, &blob));
+  if (blob.size() < 8) return Status::Corruption("truncated: " + path);
+  Decoder dec(blob);
+  std::uint32_t got_magic = 0, crc = 0;
+  CLOG_RETURN_IF_ERROR(dec.GetU32(&got_magic));
+  CLOG_RETURN_IF_ERROR(dec.GetRaw(blob.size() - 8, body));
+  CLOG_RETURN_IF_ERROR(dec.GetU32(&crc));
+  if (got_magic != magic) return Status::Corruption("bad magic: " + path);
+  if (crc32c::Value(blob.data(), blob.size() - 4) != crc) {
+    return Status::Corruption("checksum mismatch: " + path);
   }
   return Status::OK();
 }

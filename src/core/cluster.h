@@ -56,7 +56,7 @@ struct ClusterOptions {
   RetryPolicy retry_policy;
   /// Unified logging policy applied to every node (unless a node's AddNode
   /// override already set its own). Strategy selection, group commit,
-  /// archive cadence, and redo parallelism in one value; see
+  /// archiving, and redo parallelism in one value; see
   /// node/options.h. Defaults preserve the classic behavior exactly.
   LoggingPolicy logging_policy;
   /// Optional structured-event trace sink (not owned; must outlive the

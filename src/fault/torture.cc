@@ -319,9 +319,9 @@ class TortureRun {
       Event("adaptive on");
     }
     if (MediaMode()) {
-      // Media schedules run with the archive at its most aggressive
-      // cadence so device losses land on pages with fresh base images.
-      copts.node_defaults.logging_policy.WithArchiveEvery(1);
+      // Media schedules archive at every checkpoint, so device losses
+      // land on pages with fresh base images.
+      copts.node_defaults.logging_policy.WithArchive(true);
       Event("media-failure on");
     }
     if (options_.hammer_restore) {
@@ -330,7 +330,6 @@ class TortureRun {
       // node per step so the backlog drains while the workload keeps
       // landing on half-restored nodes.
       copts.node_defaults.instant_restore.enabled = true;
-      copts.node_defaults.instant_restore.sweep_batch = 1;
       Event("hammer-restore on");
     }
     cluster_ = std::make_unique<Cluster>(copts);

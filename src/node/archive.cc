@@ -1,7 +1,6 @@
 #include "node/archive.h"
 
 #include "common/codec.h"
-#include "common/crc32c.h"
 #include "common/fsutil.h"
 
 namespace clog {
@@ -74,13 +73,9 @@ Status PageArchive::Restore(std::uint32_t page_no, Page* out) {
 }
 
 Status PageArchive::LoadMeta() {
-  std::string blob;
-  CLOG_RETURN_IF_ERROR(ReadFileToString(meta_path_, &blob));
-  if (blob.size() < 4) return Status::Corruption("archive meta truncated");
-  Decoder dec(blob);
-  std::uint32_t magic = 0;
-  CLOG_RETURN_IF_ERROR(dec.GetU32(&magic));
-  if (magic != kArchiveMagic) return Status::Corruption("bad archive magic");
+  std::string body;
+  CLOG_RETURN_IF_ERROR(ReadRecordFile(meta_path_, kArchiveMagic, &body));
+  Decoder dec(body);
   std::uint64_t seq = 0, count = 0;
   CLOG_RETURN_IF_ERROR(dec.GetU64(&seq));
   CLOG_RETURN_IF_ERROR(dec.GetVarint64(&count));
@@ -92,20 +87,14 @@ Status PageArchive::LoadMeta() {
     CLOG_RETURN_IF_ERROR(dec.GetU64(&psn));
     entries[page_no] = psn;
   }
-  std::uint32_t crc = 0;
-  CLOG_RETURN_IF_ERROR(dec.GetU32(&crc));
-  if (crc32c::Value(blob.data(), blob.size() - 4) != crc) {
-    return Status::Corruption("archive meta crc mismatch");
-  }
   seq_ = seq;
   entries_ = std::move(entries);
   return Status::OK();
 }
 
 Status PageArchive::StoreMeta(std::uint64_t seq) const {
-  std::string blob;
-  Encoder enc(&blob);
-  enc.PutU32(kArchiveMagic);
+  std::string body;
+  Encoder enc(&body);
   enc.PutU64(seq);
   // Sealed entries merged with the pass being sealed.
   std::map<std::uint32_t, Psn> merged = entries_;
@@ -115,8 +104,7 @@ Status PageArchive::StoreMeta(std::uint64_t seq) const {
     enc.PutU32(page_no);
     enc.PutU64(psn);
   }
-  enc.PutU32(crc32c::Value(blob.data(), blob.size()));
-  return AtomicWriteFile(meta_path_, blob);
+  return WriteRecordFile(meta_path_, kArchiveMagic, body);
 }
 
 // --- PoisonLedger ----------------------------------------------------------
@@ -125,15 +113,11 @@ Status PoisonLedger::Open(const std::string& dir,
                           const std::string& filename) {
   path_ = dir + "/" + filename;
   entries_.clear();
-  std::string blob;
-  Status st = ReadFileToString(path_, &blob);
+  std::string body;
+  Status st = ReadRecordFile(path_, kPoisonMagic, &body);
   if (st.IsNotFound()) return Status::OK();  // Healthy node: no ledger file.
   CLOG_RETURN_IF_ERROR(st);
-  if (blob.size() < 4) return Status::Corruption("poison ledger truncated");
-  Decoder dec(blob);
-  std::uint32_t magic = 0;
-  CLOG_RETURN_IF_ERROR(dec.GetU32(&magic));
-  if (magic != kPoisonMagic) return Status::Corruption("bad poison magic");
+  Decoder dec(body);
   std::uint64_t count = 0;
   CLOG_RETURN_IF_ERROR(dec.GetVarint64(&count));
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -141,11 +125,6 @@ Status PoisonLedger::Open(const std::string& dir,
     CLOG_RETURN_IF_ERROR(dec.GetU64(&pid));
     CLOG_RETURN_IF_ERROR(dec.GetU64(&needed));
     entries_[pid] = needed;
-  }
-  std::uint32_t crc = 0;
-  CLOG_RETURN_IF_ERROR(dec.GetU32(&crc));
-  if (crc32c::Value(blob.data(), blob.size() - 4) != crc) {
-    return Status::Corruption("poison ledger crc mismatch");
   }
   return Status::OK();
 }
@@ -173,16 +152,14 @@ Status PoisonLedger::Remove(PageId pid) {
 
 Status PoisonLedger::Persist() const {
   if (entries_.empty()) return RemoveFileIfExists(path_);
-  std::string blob;
-  Encoder enc(&blob);
-  enc.PutU32(kPoisonMagic);
+  std::string body;
+  Encoder enc(&body);
   enc.PutVarint64(entries_.size());
   for (const auto& [pid, needed] : entries_) {
     enc.PutU64(pid);
     enc.PutU64(needed);
   }
-  enc.PutU32(crc32c::Value(blob.data(), blob.size()));
-  return AtomicWriteFile(path_, blob);
+  return WriteRecordFile(path_, kPoisonMagic, body);
 }
 
 }  // namespace clog

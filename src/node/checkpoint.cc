@@ -69,12 +69,7 @@ Status Node::Checkpoint() {
   // image copied below is covered by a durable log record — locally because
   // the force just ran, remotely because WalBeforePageLeaves held when the
   // page was shipped here. That ordering is the archive's WAL rule.
-  if (archive_.is_open() &&
-      ++ckpts_since_archive_ >=
-          options_.logging_policy.archive.every_checkpoints) {
-    ckpts_since_archive_ = 0;
-    CLOG_RETURN_IF_ERROR(ArchivePass());
-  }
+  if (archive_.is_open()) CLOG_RETURN_IF_ERROR(ArchivePass());
   return Status::OK();
 }
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/codec.h"
-#include "common/crc32c.h"
 #include "common/fsutil.h"
 
 namespace clog {
@@ -19,23 +18,11 @@ Status HandoffLedger::Open(const std::string& dir) {
   inflight_.clear();
   ceded_.clear();
   adopted_.clear();
-  std::string blob;
-  Status st = ReadFileToString(path_, &blob);
+  std::string body;
+  Status st = ReadRecordFile(path_, kHandoffMagic, &body);
   if (st.IsNotFound()) return Status::OK();  // Never handed off: no file.
   CLOG_RETURN_IF_ERROR(st);
-  if (blob.size() < 8) return Status::Corruption("handoff ledger truncated");
-  if (crc32c::Value(blob.data(), blob.size() - 4) !=
-      [&] {
-        std::uint32_t crc = 0;
-        std::memcpy(&crc, blob.data() + blob.size() - 4, 4);
-        return crc;
-      }()) {
-    return Status::Corruption("handoff ledger crc mismatch");
-  }
-  Decoder dec(Slice(blob.data(), blob.size() - 4));
-  std::uint32_t magic = 0;
-  CLOG_RETURN_IF_ERROR(dec.GetU32(&magic));
-  if (magic != kHandoffMagic) return Status::Corruption("bad handoff magic");
+  Decoder dec(body);
   std::uint64_t n = 0;
   CLOG_RETURN_IF_ERROR(dec.GetVarint64(&n));
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -192,9 +179,8 @@ std::vector<PageId> HandoffLedger::AdoptedPages() const {
 
 Status HandoffLedger::Persist() const {
   if (empty()) return RemoveFileIfExists(path_);
-  std::string blob;
-  Encoder enc(&blob);
-  enc.PutU32(kHandoffMagic);
+  std::string body;
+  Encoder enc(&body);
   enc.PutVarint64(inflight_.size());
   for (const auto& [pid, rec] : inflight_) {
     enc.PutU64(pid);
@@ -214,8 +200,7 @@ Status HandoffLedger::Persist() const {
     enc.PutU64(rec.seed_psn);
     enc.PutRaw(Slice(rec.image.data(), rec.image.size()));
   }
-  enc.PutU32(crc32c::Value(blob.data(), blob.size()));
-  return AtomicWriteFile(path_, blob);
+  return WriteRecordFile(path_, kHandoffMagic, body);
 }
 
 }  // namespace clog

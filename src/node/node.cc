@@ -104,7 +104,6 @@ void Node::Crash() {
   log_.Abandon();   // Unforced log tail is lost with the crash.
   disk_.Close().ok();
   archive_.Close().ok();
-  ckpts_since_archive_ = 0;
   // Volatile restore plans die with the crash; the durable restore ledger
   // survives and tells the next restart which pages were still rebuilding.
   restore_.Reset();
@@ -1377,10 +1376,7 @@ std::size_t Node::SweepRestore(std::size_t max_pages) {
   if (state_ != NodeState::kUp || !restore_.active()) {
     return restore_.pending();
   }
-  if (max_pages == 0) {
-    max_pages = std::max<std::size_t>(1, options_.instant_restore.sweep_batch);
-  }
-  restore_.Sweep(this, max_pages);
+  restore_.Sweep(this, std::max<std::size_t>(1, max_pages));
   return restore_.pending();
 }
 

@@ -333,12 +333,12 @@ class Node : public NodeService {
   /// Pages still awaiting rebuild (0 = not in a restore epoch).
   std::size_t RestorePendingCount() const { return restore_.pending(); }
 
-  /// Background drain: rebuilds up to `max_pages` pending pages (0 = the
-  /// configured sweep batch) in plan-priority order. Returns the number of
-  /// pages still pending afterwards. Driven by the cluster's sweeper (a
+  /// Background drain: rebuilds up to `max_pages` pending pages (at least
+  /// one) in plan-priority order. Returns the number of pages still pending
+  /// afterwards. Driven by the cluster's sweeper (a
   /// dedicated thread in real mode, scheduled work in simulation) and
   /// callable directly by tests. No-op unless up and restoring.
-  std::size_t SweepRestore(std::size_t max_pages = 0);
+  std::size_t SweepRestore(std::size_t max_pages = 1);
 
   /// Runs one fuzzy archive pass over all owned pages: copies every page
   /// whose PSN moved since it was last archived (newest cached version if
@@ -571,8 +571,6 @@ class Node : public NodeService {
   /// plus the durable "node.restore" ledger. Volatile plans are rebuilt by
   /// restart recovery; empty (and file-less) on healthy nodes.
   InstantRestoreManager restore_;
-  /// Checkpoints completed since the last archive pass (pass cadence).
-  std::uint32_t ckpts_since_archive_ = 0;
   BufferPool pool_;
   DirtyPageTable dpt_;
   LockCache lock_cache_;

@@ -58,11 +58,9 @@ struct GroupCommitPolicy {
 /// branch is taken, trace hashes and benchmarks are byte-identical to a
 /// build without the subsystem.
 struct ArchiveOptions {
+  /// Take one incremental archive pass at every completed checkpoint. The
+  /// pass only rewrites pages whose PSN moved since they were last archived.
   bool enabled = false;
-  /// Take one incremental archive pass every N completed checkpoints
-  /// (1 = every checkpoint). The pass only rewrites pages whose PSN moved
-  /// since they were last archived.
-  std::uint32_t every_checkpoints = 1;
 };
 
 /// Instant restore (docs/RECOVERY_WALKTHROUGH.md "Instant restore"): after
@@ -73,8 +71,6 @@ struct ArchiveOptions {
 /// eagerly before the node comes up, exactly as before.
 struct InstantRestoreOptions {
   bool enabled = false;
-  /// Pages the background sweeper rebuilds per invocation.
-  std::size_t sweep_batch = 1;
 };
 
 /// What kind of update record a transaction writes (adaptive logging,
@@ -93,7 +89,7 @@ enum class LogStrategy : std::uint8_t {
 std::string_view LogStrategyName(LogStrategy s);
 
 /// The unified logging policy: strategy selection, commit-force coalescing,
-/// archive cadence, and recovery parallelism in one value type, replacing
+/// archiving, and recovery parallelism in one value type, replacing
 /// the scattered per-feature option structs.
 ///
 /// Named setters chain, so call sites read as one declaration:
@@ -131,11 +127,9 @@ struct LoggingPolicy {
     group_commit.max_group_size = max_group_size;
     return *this;
   }
-  /// 0 disables archiving; N takes an archive pass every N checkpoints.
-  LoggingPolicy& WithArchiveEvery(std::uint32_t every_checkpoints) {
-    archive.enabled = every_checkpoints != 0;
-    archive.every_checkpoints =
-        every_checkpoints != 0 ? every_checkpoints : 1;
+  /// Takes a fuzzy archive pass at every checkpoint.
+  LoggingPolicy& WithArchive(bool on) {
+    archive.enabled = on;
     return *this;
   }
 };
@@ -179,7 +173,7 @@ struct NodeOptions {
   /// Optional fault injector shared by the whole cluster (not owned); wired
   /// into this node's DiskManager and LogManager on open. nullptr = off.
   FaultInjector* fault_injector = nullptr;
-  /// The unified logging policy (strategy, group commit, archive cadence,
+  /// The unified logging policy (strategy, group commit, archiving,
   /// redo parallelism).
   LoggingPolicy logging_policy;
   /// On-demand media recovery: serve traffic while lost pages rebuild at

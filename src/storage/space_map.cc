@@ -1,11 +1,7 @@
 #include "storage/space_map.h"
 
-#include <cstdio>
-
-#include <fstream>
-
 #include "common/codec.h"
-#include "common/crc32c.h"
+#include "common/fsutil.h"
 
 namespace clog {
 
@@ -21,18 +17,11 @@ Status SpaceMap::Open(const std::string& path) {
 }
 
 Status SpaceMap::Load() {
-  std::ifstream in(path_, std::ios::binary);
-  if (!in.good()) return Status::OK();  // Fresh database.
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  Decoder dec(blob);
-  std::uint32_t magic = 0, crc = 0;
-  CLOG_RETURN_IF_ERROR(dec.GetU32(&magic));
-  if (magic != kMapMagic) return Status::Corruption("bad space map magic");
-  CLOG_RETURN_IF_ERROR(dec.GetU32(&crc));
-  if (crc32c::Value(blob.data() + 8, blob.size() - 8) != crc) {
-    return Status::Corruption("space map checksum mismatch");
-  }
+  std::string body;
+  Status st = ReadRecordFile(path_, kMapMagic, &body);
+  if (st.IsNotFound()) return Status::OK();  // Fresh database.
+  CLOG_RETURN_IF_ERROR(st);
+  Decoder dec(body);
   std::uint32_t fresh = 0;
   std::uint64_t count = 0;
   CLOG_RETURN_IF_ERROR(dec.GetU32(&fresh));
@@ -51,10 +40,8 @@ Status SpaceMap::Load() {
 }
 
 Status SpaceMap::Persist() const {
-  std::string blob;
-  Encoder enc(&blob);
-  enc.PutU32(kMapMagic);
-  enc.PutU32(0);  // crc placeholder
+  std::string body;
+  Encoder enc(&body);
   enc.PutU32(next_fresh_);
   enc.PutVarint64(entries_.size());
   for (const auto& [page_no, e] : entries_) {
@@ -62,23 +49,7 @@ Status SpaceMap::Persist() const {
     enc.PutU8(e.allocated ? 1 : 0);
     enc.PutVarint64(e.psn_seed);
   }
-  std::uint32_t crc = crc32c::Value(blob.data() + 8, blob.size() - 8);
-  blob[4] = static_cast<char>(crc & 0xFF);
-  blob[5] = static_cast<char>((crc >> 8) & 0xFF);
-  blob[6] = static_cast<char>((crc >> 16) & 0xFF);
-  blob[7] = static_cast<char>((crc >> 24) & 0xFF);
-
-  std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.good()) return Status::IOError("open " + tmp);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!out.good()) return Status::IOError("write " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    return Status::IOError("rename " + tmp);
-  }
-  return Status::OK();
+  return WriteRecordFile(path_, kMapMagic, body);
 }
 
 Result<std::uint32_t> SpaceMap::Allocate() {

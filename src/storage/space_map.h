@@ -22,11 +22,13 @@
 namespace clog {
 
 /// Persistent allocation state. The map is tiny relative to the database,
-/// so it is rewritten wholesale (write-temp + rename) on every mutation;
+/// so it is rewritten wholesale as a crash-atomic record file (fsynced,
+/// renamed, directory fsynced; common/fsutil.h) on every mutation;
 /// allocation and deallocation are rare compared to page updates.
 class SpaceMap {
  public:
-  /// Loads the map from `path`, starting empty if the file does not exist.
+  /// Loads the map from `path`, starting empty only if the file does not
+  /// exist: a damaged map is Corruption and an unreadable one IOError.
   Status Open(const std::string& path);
 
   /// Allocates the lowest free page number and returns it together with the

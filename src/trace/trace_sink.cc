@@ -1,8 +1,9 @@
 #include "trace/trace_sink.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
+
+#include "common/codec.h"
+#include "common/fsutil.h"
 
 namespace clog {
 
@@ -31,45 +32,14 @@ std::uint64_t MixEvent(std::uint64_t h, const TraceEvent& e) {
   return h;
 }
 
-// Trace file layout (all little-endian):
-//   u32 magic "CLTR", u32 version, u64 capacity_per_node, u32 node_count
+// Trace file: a record file (common/fsutil.h) under magic "CLTR" whose
+// body is, all little-endian:
+//   u32 version, u64 capacity_per_node, u32 node_count
 //   per node: u32 node, u64 emitted, u64 hash, u64 retained,
-//             retained * { u64 time_ns, seq, a, b; u32 c, node; u16 type,
-//             reserved }
+//             retained * { u64 time_ns, seq, a, b; u32 c, node, type }
 constexpr std::uint32_t kTraceMagic = 0x52544C43u;  // "CLTR"
-constexpr std::uint32_t kTraceVersion = 1;
-
-void Put32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (i * 8)));
-}
-
-void Put64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (i * 8)));
-}
-
-bool Get32(const std::string& in, std::size_t* pos, std::uint32_t* v) {
-  if (*pos + 4 > in.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<std::uint32_t>(
-              static_cast<unsigned char>(in[*pos + i]))
-          << (i * 8);
-  }
-  *pos += 4;
-  return true;
-}
-
-bool Get64(const std::string& in, std::size_t* pos, std::uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<std::uint64_t>(
-              static_cast<unsigned char>(in[*pos + i]))
-          << (i * 8);
-  }
-  *pos += 8;
-  return true;
-}
+constexpr std::uint32_t kTraceVersion = 2;
+constexpr std::size_t kEventBytes = 4 * 8 + 3 * 4;
 
 }  // namespace
 
@@ -204,99 +174,93 @@ std::uint64_t TraceSink::Hash() const {
 }
 
 Status TraceSink::WriteBinaryFile(const std::string& path) const {
-  std::string out;
-  Put32(&out, kTraceMagic);
-  Put32(&out, kTraceVersion);
-  std::lock_guard<std::mutex> lk(mu_);
-  Put64(&out, capacity_);
-  const std::vector<NodeId> nodes = NodesLocked();
-  Put32(&out, static_cast<std::uint32_t>(nodes.size()));
-  for (NodeId node : nodes) {
-    const Ring& ring = rings_.at(node);
-    const std::vector<TraceEvent> events = EventsLocked(node);
-    Put32(&out, node);
-    Put64(&out, ring.emitted);
-    Put64(&out, ring.hash);
-    Put64(&out, events.size());
-    for (const TraceEvent& e : events) {
-      Put64(&out, e.time_ns);
-      Put64(&out, e.seq);
-      Put64(&out, e.a);
-      Put64(&out, e.b);
-      Put32(&out, e.c);
-      Put32(&out, e.node);
-      Put32(&out, static_cast<std::uint32_t>(e.type));
+  std::string body;
+  Encoder enc(&body);
+  enc.PutU32(kTraceVersion);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    enc.PutU64(capacity_);
+    const std::vector<NodeId> nodes = NodesLocked();
+    enc.PutU32(static_cast<std::uint32_t>(nodes.size()));
+    for (NodeId node : nodes) {
+      const Ring& ring = rings_.at(node);
+      const std::vector<TraceEvent> events = EventsLocked(node);
+      enc.PutU32(node);
+      enc.PutU64(ring.emitted);
+      enc.PutU64(ring.hash);
+      enc.PutU64(events.size());
+      for (const TraceEvent& e : events) {
+        enc.PutU64(e.time_ns);
+        enc.PutU64(e.seq);
+        enc.PutU64(e.a);
+        enc.PutU64(e.b);
+        enc.PutU32(e.c);
+        enc.PutU32(e.node);
+        enc.PutU32(static_cast<std::uint32_t>(e.type));
+      }
     }
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("open " + path);
-  const bool ok =
-      std::fwrite(out.data(), 1, out.size(), f) == out.size() &&
-      std::fflush(f) == 0;
-  std::fclose(f);
-  if (!ok) return Status::IOError("write " + path);
-  return Status::OK();
+  return WriteRecordFile(path, kTraceMagic, body);
 }
 
 Status TraceSink::ReadBinaryFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("open " + path);
-  std::string in;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) in.append(buf, n);
-  std::fclose(f);
-
-  std::lock_guard<std::mutex> lk(mu_);
-  std::size_t pos = 0;
-  std::uint32_t magic = 0, version = 0, node_count = 0;
+  std::string body;
+  CLOG_RETURN_IF_ERROR(ReadRecordFile(path, kTraceMagic, &body));
+  Decoder dec(body);
+  std::uint32_t version = 0, node_count = 0;
   std::uint64_t capacity = 0;
-  if (!Get32(in, &pos, &magic) || magic != kTraceMagic) {
-    return Status::Corruption("not a clog trace file: " + path);
+  CLOG_RETURN_IF_ERROR(dec.GetU32(&version));
+  if (version != kTraceVersion) {
+    return Status::Corruption("unsupported trace version " +
+                              std::to_string(version));
   }
-  if (!Get32(in, &pos, &version) || version != kTraceVersion) {
-    return Status::Corruption("unsupported trace version");
-  }
-  if (!Get64(in, &pos, &capacity) || !Get32(in, &pos, &node_count)) {
-    return Status::Corruption("truncated trace header");
-  }
-  capacity_ = capacity == 0 ? 1 : static_cast<std::size_t>(capacity);
-  rings_.clear();
+  CLOG_RETURN_IF_ERROR(dec.GetU64(&capacity));
+  CLOG_RETURN_IF_ERROR(dec.GetU32(&node_count));
+  capacity = std::max<std::uint64_t>(capacity, 1);
+  std::unordered_map<NodeId, Ring> rings;
   for (std::uint32_t i = 0; i < node_count; ++i) {
     std::uint32_t node = 0;
-    std::uint64_t emitted = 0, hash = 0, retained = 0;
-    if (!Get32(in, &pos, &node) || !Get64(in, &pos, &emitted) ||
-        !Get64(in, &pos, &hash) || !Get64(in, &pos, &retained)) {
-      return Status::Corruption("truncated trace node header");
+    std::uint64_t retained = 0;
+    Ring ring;
+    CLOG_RETURN_IF_ERROR(dec.GetU32(&node));
+    CLOG_RETURN_IF_ERROR(dec.GetU64(&ring.emitted));
+    CLOG_RETURN_IF_ERROR(dec.GetU64(&ring.hash));
+    CLOG_RETURN_IF_ERROR(dec.GetU64(&retained));
+    // A ring retains exactly its newest min(emitted, capacity) events;
+    // Events() and Emit() index the ring on that assumption.
+    if (retained != std::min(ring.emitted, capacity) ||
+        retained > dec.remaining() / kEventBytes) {
+      return Status::Corruption("bad retained count for trace node " +
+                                std::to_string(node));
     }
-    Ring& ring = rings_[node];
-    ring.emitted = emitted;
-    ring.hash = hash;
-    ring.buf.reserve(static_cast<std::size_t>(retained));
-    for (std::uint64_t j = 0; j < retained; ++j) {
-      TraceEvent e;
-      std::uint32_t c = 0, enode = 0, type = 0;
-      if (!Get64(in, &pos, &e.time_ns) || !Get64(in, &pos, &e.seq) ||
-          !Get64(in, &pos, &e.a) || !Get64(in, &pos, &e.b) ||
-          !Get32(in, &pos, &c) || !Get32(in, &pos, &enode) ||
-          !Get32(in, &pos, &type)) {
-        return Status::Corruption("truncated trace event");
-      }
-      e.c = c;
-      e.node = enode;
+    ring.buf.resize(static_cast<std::size_t>(retained));
+    for (TraceEvent& e : ring.buf) {
+      std::uint32_t type = 0;
+      CLOG_RETURN_IF_ERROR(dec.GetU64(&e.time_ns));
+      CLOG_RETURN_IF_ERROR(dec.GetU64(&e.seq));
+      CLOG_RETURN_IF_ERROR(dec.GetU64(&e.a));
+      CLOG_RETURN_IF_ERROR(dec.GetU64(&e.b));
+      CLOG_RETURN_IF_ERROR(dec.GetU32(&e.c));
+      CLOG_RETURN_IF_ERROR(dec.GetU32(&e.node));
+      CLOG_RETURN_IF_ERROR(dec.GetU32(&type));
       e.type = static_cast<TraceEventType>(type);
-      ring.buf.push_back(e);
     }
     // Events() reconstructs oldest-first from the wrap position, so store
     // the retained window back in ring order.
-    if (ring.emitted > capacity_ && ring.buf.size() == capacity_) {
+    if (ring.emitted > capacity) {
       std::rotate(ring.buf.begin(),
                   ring.buf.begin() + static_cast<std::ptrdiff_t>(
-                                         ring.buf.size() -
-                                         ring.emitted % capacity_),
+                                         capacity - ring.emitted % capacity),
                   ring.buf.end());
     }
+    if (!rings.emplace(node, std::move(ring)).second) {
+      return Status::Corruption("duplicate trace node " +
+                                std::to_string(node));
+    }
   }
+  std::lock_guard<std::mutex> lk(mu_);
+  capacity_ = static_cast<std::size_t>(capacity);
+  rings_ = std::move(rings);
   return Status::OK();
 }
 

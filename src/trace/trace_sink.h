@@ -69,8 +69,10 @@ class TraceSink {
     rings_.clear();
   }
 
-  /// Binary trace file I/O, for `tools/tracedump`. The format is
-  /// little-endian, fixed-width fields (docs/observability.md).
+  /// Binary trace file I/O, for `tools/tracedump`: a checksummed record
+  /// file (common/fsutil.h) of little-endian, fixed-width fields, version 2
+  /// (docs/observability.md). A damaged or malformed file reads as
+  /// Corruption and leaves the sink unchanged.
   Status WriteBinaryFile(const std::string& path) const;
   Status ReadBinaryFile(const std::string& path);
 

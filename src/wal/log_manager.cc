@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "common/codec.h"
 #include "common/crc32c.h"
@@ -334,62 +333,34 @@ void LogManager::SetReclaimableLsn(Lsn lsn) {
   }
 }
 
+Status LogManager::StoreLsnFile(const std::string& suffix, Lsn lsn) const {
+  std::string body;
+  Encoder(&body).PutU64(lsn);
+  return WriteRecordFile(path_ + suffix, kLogMagic, body);
+}
+
+Result<Lsn> LogManager::LoadLsnFile(const std::string& suffix) const {
+  std::string body;
+  Status st = ReadRecordFile(path_ + suffix, kLogMagic, &body);
+  if (st.IsNotFound()) return kNullLsn;
+  CLOG_RETURN_IF_ERROR(st);
+  std::uint64_t lsn = 0;
+  CLOG_RETURN_IF_ERROR(Decoder(body).GetU64(&lsn));
+  return lsn;
+}
+
 Status LogManager::StoreMaster(Lsn checkpoint_end_lsn) {
-  std::string blob;
-  Encoder enc(&blob);
-  enc.PutU32(kLogMagic);
-  enc.PutU64(checkpoint_end_lsn);
-  std::uint32_t crc = crc32c::Value(blob.data(), blob.size());
-  enc.PutU32(crc);
   // Crash-atomic replace: recovery trusts this pointer; a torn or vanished
   // master would silently discard the checkpoint.
-  return AtomicWriteFile(path_ + ".master", blob);
+  return StoreLsnFile(".master", checkpoint_end_lsn);
 }
 
-Result<Lsn> LogManager::LoadMaster() const {
-  std::ifstream in(path_ + ".master", std::ios::binary);
-  if (!in.good()) return kNullLsn;  // No checkpoint taken yet.
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  Decoder dec(blob);
-  std::uint32_t magic = 0, crc = 0;
-  std::uint64_t lsn = 0;
-  CLOG_RETURN_IF_ERROR(dec.GetU32(&magic));
-  CLOG_RETURN_IF_ERROR(dec.GetU64(&lsn));
-  CLOG_RETURN_IF_ERROR(dec.GetU32(&crc));
-  if (magic != kLogMagic ||
-      crc32c::Value(blob.data(), blob.size() - 4) != crc) {
-    return Status::Corruption("bad master record");
-  }
-  return lsn;
-}
+Result<Lsn> LogManager::LoadMaster() const { return LoadLsnFile(".master"); }
 
 Status LogManager::StoreMark() {
-  std::string blob;
-  Encoder enc(&blob);
-  enc.PutU32(kLogMagic);
-  enc.PutU64(flushed_lsn_.load(std::memory_order_acquire));
-  std::uint32_t crc = crc32c::Value(blob.data(), blob.size());
-  enc.PutU32(crc);
-  return AtomicWriteFile(path_ + ".mark", blob);
+  return StoreLsnFile(".mark", flushed_lsn_.load(std::memory_order_acquire));
 }
 
-Result<Lsn> LogManager::LoadMark() const {
-  std::string blob;
-  Status st = ReadFileToString(path_ + ".mark", &blob);
-  if (st.IsNotFound()) return kNullLsn;  // Mark never written.
-  CLOG_RETURN_IF_ERROR(st);
-  Decoder dec(blob);
-  std::uint32_t magic = 0, crc = 0;
-  std::uint64_t lsn = 0;
-  CLOG_RETURN_IF_ERROR(dec.GetU32(&magic));
-  CLOG_RETURN_IF_ERROR(dec.GetU64(&lsn));
-  CLOG_RETURN_IF_ERROR(dec.GetU32(&crc));
-  if (magic != kLogMagic ||
-      crc32c::Value(blob.data(), blob.size() - 4) != crc) {
-    return Status::Corruption("bad log mark");
-  }
-  return lsn;
-}
+Result<Lsn> LogManager::LoadMark() const { return LoadLsnFile(".mark"); }
 
 }  // namespace clog

@@ -145,7 +145,8 @@ class LogManager {
   /// kCheckpointEnd record (atomic rename of a side file).
   Status StoreMaster(Lsn checkpoint_end_lsn);
 
-  /// Reads the master pointer; kNullLsn if no checkpoint completed yet.
+  /// Reads the master pointer; kNullLsn if no checkpoint completed yet,
+  /// Corruption if the file is damaged.
   Result<Lsn> LoadMaster() const;
 
   // --- Durable log-extent mark (media failure detection) ---
@@ -158,7 +159,8 @@ class LogManager {
   /// the log ever held as potentially lost.
   Status StoreMark();
 
-  /// Reads the durable mark; kNullLsn if never written.
+  /// Reads the durable mark; kNullLsn if never written, Corruption if the
+  /// file is damaged.
   Result<Lsn> LoadMark() const;
 
   // --- Counters for benchmarks ---
@@ -193,6 +195,11 @@ class LogManager {
 
  private:
   friend class LogCursor;
+
+  /// The master pointer and the log mark: one LSN in the record file
+  /// `path_ + suffix` under the log's magic; kNullLsn if never written.
+  Status StoreLsnFile(const std::string& suffix, Lsn lsn) const;
+  Result<Lsn> LoadLsnFile(const std::string& suffix) const;
 
   static constexpr std::uint64_t kHeaderSize = 64;
   static constexpr std::uint32_t kLogMagic = 0x434C4F4C;  // "CLOL"

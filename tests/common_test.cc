@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+
 #include "common/codec.h"
 #include "common/crc32c.h"
+#include "common/fsutil.h"
 #include "common/lock_mode.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -263,6 +267,110 @@ TEST(SliceTest, ComparisonAndConversion) {
   EXPECT_FALSE(a == c);
   EXPECT_EQ(a.ToString(), "abc");
   EXPECT_TRUE(Slice().empty());
+}
+
+// --- Record files (common/fsutil.h) ---------------------------------------
+
+constexpr std::uint32_t kTestMagic = 0x54534554u;  // "TEST"
+
+/// Writes `bytes` to `path` as is, with no framing and no rename.
+void WriteRaw(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+TEST(RecordFileTest, RoundTripWithMagicBodyCrcLayout) {
+  testing::TempDir dir;
+  const std::string path = dir.path() + "/rec";
+  ASSERT_OK(WriteRecordFile(path, kTestMagic, "payload"));
+  std::string body;
+  ASSERT_OK(ReadRecordFile(path, kTestMagic, &body));
+  EXPECT_EQ(body, "payload");
+
+  // u32 magic | body | u32 crc32c(magic | body), little-endian.
+  std::string raw;
+  ASSERT_OK(ReadFileToString(path, &raw));
+  ASSERT_EQ(raw.size(), 4u + body.size() + 4u);
+  std::uint32_t magic = 0, crc = 0;
+  ASSERT_OK(Decoder(Slice(raw.data(), 4)).GetU32(&magic));
+  ASSERT_OK(Decoder(Slice(raw.data() + raw.size() - 4, 4)).GetU32(&crc));
+  EXPECT_EQ(magic, kTestMagic);
+  EXPECT_EQ(crc, crc32c::Value(raw.data(), raw.size() - 4));
+
+  ASSERT_OK(WriteRecordFile(path, kTestMagic, ""));  // Empty body.
+  ASSERT_OK(ReadRecordFile(path, kTestMagic, &body));
+  EXPECT_TRUE(body.empty());
+}
+
+TEST(RecordFileTest, AbsentFileIsNotFound) {
+  testing::TempDir dir;
+  std::string body;
+  Status st = ReadRecordFile(dir.path() + "/absent", kTestMagic, &body);
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+}
+
+TEST(RecordFileTest, EveryTruncationAndByteFlipIsCorruption) {
+  testing::TempDir dir;
+  const std::string path = dir.path() + "/rec";
+  ASSERT_OK(WriteRecordFile(path, kTestMagic, "small body"));
+  std::string good;
+  ASSERT_OK(ReadFileToString(path, &good));
+  std::string body;
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    WriteRaw(path, good.substr(0, len));
+    Status st = ReadRecordFile(path, kTestMagic, &body);
+    EXPECT_TRUE(st.IsCorruption()) << "length " << len << ": " << st.ToString();
+  }
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::string bad = good;
+    bad[i] = static_cast<char>(bad[i] ^ 0x5A);
+    WriteRaw(path, bad);
+    Status st = ReadRecordFile(path, kTestMagic, &body);
+    EXPECT_TRUE(st.IsCorruption()) << "byte " << i << ": " << st.ToString();
+  }
+}
+
+TEST(RecordFileTest, WrongMagicIsCorruption) {
+  // A well-formed record file of another kind is still the wrong file.
+  testing::TempDir dir;
+  const std::string path = dir.path() + "/rec";
+  ASSERT_OK(WriteRecordFile(path, kTestMagic + 1, "body"));
+  std::string body;
+  Status st = ReadRecordFile(path, kTestMagic, &body);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
+TEST(RecordFileTest, StaleTempFromInterruptedWriteIsIgnoredThenReplaced) {
+  // A crash inside AtomicWriteFile can leave "<name>.tmp" behind. The next
+  // read sees the last published file; the next write replaces the temp.
+  testing::TempDir dir;
+  const std::string path = dir.path() + "/rec";
+  ASSERT_OK(WriteRecordFile(path, kTestMagic, "published"));
+  WriteRaw(path + ".tmp", "half a record");
+  std::string body;
+  ASSERT_OK(ReadRecordFile(path, kTestMagic, &body));
+  EXPECT_EQ(body, "published");
+
+  ASSERT_OK(WriteRecordFile(path, kTestMagic, "next"));
+  ASSERT_OK(ReadRecordFile(path, kTestMagic, &body));
+  EXPECT_EQ(body, "next");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(RecordFileTest, UnreadablePathIsIOErrorNotNotFound) {
+  // A path under a regular file fails with ENOTDIR. The file cannot be
+  // read, which must never pass for "absent": an absent ledger reads as
+  // an empty one.
+  testing::TempDir dir;
+  const std::string file = dir.path() + "/file";
+  ASSERT_OK(WriteRecordFile(file, kTestMagic, "x"));
+  std::string body;
+  Status st = ReadRecordFile(file + "/rec", kTestMagic, &body);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  st = ReadFileToString(file + "/rec", &body);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
 }
 
 }  // namespace

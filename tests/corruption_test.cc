@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "core/cluster.h"
+#include "fault/fault_injector.h"
 #include "node/archive.h"
 #include "tests/test_util.h"
 
@@ -121,38 +123,6 @@ TEST_F(CorruptionTest, CorruptDiskPageRebuiltFromLogOnRestart) {
   ASSERT_OK(node_->Commit(check));
 }
 
-TEST_F(CorruptionTest, CorruptSpaceMapDetected) {
-  ASSERT_OK(node_->AllocatePage().status());
-  ASSERT_OK(cluster_->CrashNode(node_->id()));
-  FlipByteAt(NodeFile("node.map"), 10);
-  Status st = cluster_->RestartNode(node_->id());
-  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-}
-
-TEST_F(CorruptionTest, CorruptMasterPointerDetected) {
-  ASSERT_OK(node_->Checkpoint());
-  ASSERT_OK(cluster_->CrashNode(node_->id()));
-  FlipByteAt(NodeFile("node.log.master"), 6);
-  Status st = cluster_->RestartNode(node_->id());
-  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-}
-
-TEST_F(CorruptionTest, CorruptLogMarkDetected) {
-  // The log mark (node.log.mark, written with each checkpoint on the
-  // metadata device) is what log-device-loss detection compares the log's
-  // forced extent against. A corrupted mark must refuse to open — trusting
-  // a garbage LSN could mask a destroyed log as healthy.
-  ASSERT_OK_AND_ASSIGN(PageId pid, node_->AllocatePage());
-  ASSERT_OK_AND_ASSIGN(TxnId txn, node_->Begin());
-  ASSERT_OK(node_->Insert(txn, pid, "marked").status());
-  ASSERT_OK(node_->Commit(txn));
-  ASSERT_OK(node_->Checkpoint());
-  ASSERT_OK(cluster_->CrashNode(node_->id()));
-  FlipByteAt(NodeFile("node.log.mark"), 6);
-  Status st = cluster_->RestartNode(node_->id());
-  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-}
-
 TEST_F(CorruptionTest, MissingMasterMeansFullScanNotFailure) {
   ASSERT_OK_AND_ASSIGN(PageId pid, node_->AllocatePage());
   ASSERT_OK_AND_ASSIGN(TxnId txn, node_->Begin());
@@ -180,7 +150,7 @@ class ArchiveCorruptionTest : public ::testing::Test {
   ArchiveCorruptionTest() {
     ClusterOptions opts;
     opts.dir = dir_.path();
-    opts.node_defaults.logging_policy.WithArchiveEvery(1);
+    opts.node_defaults.logging_policy.WithArchive(true);
     cluster_ = std::make_unique<Cluster>(opts);
     node_ = *cluster_->AddNode();
   }
@@ -260,19 +230,6 @@ TEST_F(ArchiveCorruptionTest, TornArchiveImageSlotDetected) {
   ASSERT_OK(node_->CheckArchiveConsistency());
 }
 
-TEST_F(ArchiveCorruptionTest, CorruptPoisonLedgerRefusesToOpen) {
-  RecordId rid = SeedArchivedRecord();
-  ASSERT_OK(node_->PoisonOwnPage(rid.page, kPsnUnrecoverable));
-  ASSERT_OK(cluster_->CrashNode(node_->id()));
-  FlipByteAt(NodeFile("node.poison"), 6);
-
-  // An unreadable poison set must not silently un-poison pages: the node
-  // refuses to open rather than risk serving a page fenced as
-  // unrecoverable.
-  Status st = cluster_->RestartNode(node_->id());
-  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-}
-
 TEST_F(ArchiveCorruptionTest, PoisonVerdictSurvivesRestart) {
   RecordId rid = SeedArchivedRecord();
   ASSERT_OK(node_->PoisonOwnPage(rid.page, kPsnUnrecoverable));
@@ -287,6 +244,102 @@ TEST_F(ArchiveCorruptionTest, PoisonVerdictSurvivesRestart) {
   EXPECT_TRUE(read.IsCorruption()) << read.ToString();
   ASSERT_OK(node_->Abort(check));
 }
+
+/// The corruption table for the seven side files a node keeps beside its
+/// log and database (docs/RECOVERY_WALKTHROUGH.md, "Side files"). Each row
+/// makes node 0 write its file, crashes the node, flips one byte inside the
+/// file's body and restarts the node. The archive meta is a best-effort
+/// accelerator: a damaged copy opens an empty archive, and media recovery
+/// falls back to a formatted-seed rebuild. Every other file is a
+/// correctness artifact, and a damaged copy refuses the restart with
+/// Corruption rather than, say, trust a garbage checkpoint LSN, reallocate
+/// page 0, mask a destroyed log as healthy (the log mark), un-fence a
+/// poisoned page, forget a page still being rebuilt, or resurrect a page
+/// that was handed away.
+struct SideFileRow {
+  const char* file;
+  bool refuses_restart;
+  /// Leaves `file` on node 0's disk. `pid` is node 0's one page, which
+  /// holds one committed record.
+  void (*make)(Cluster* cluster, FaultInjector* injector, PageId pid);
+};
+
+void TakeCheckpoint(Cluster* cluster, FaultInjector*, PageId) {
+  ASSERT_OK(cluster->node(0)->Checkpoint());
+}
+
+const SideFileRow kSideFiles[] = {
+    {"node.log.master", true, TakeCheckpoint},
+    {"node.log.mark", true, TakeCheckpoint},
+    {"node.map", true, [](Cluster*, FaultInjector*, PageId) {}},
+    {"node.archive.meta", false, TakeCheckpoint},
+    {"node.poison", true,
+     [](Cluster* cluster, FaultInjector*, PageId pid) {
+       ASSERT_OK(cluster->node(0)->PoisonOwnPage(pid, kPsnUnrecoverable));
+     }},
+    {"node.restore", true,
+     [](Cluster* cluster, FaultInjector* injector, PageId) {
+       // Lose the data device; instant restore plans the lost page and
+       // opens the node with the rebuild still pending.
+       injector->ArmDeviceFault(0, DeviceFault::kDestroyDataFile);
+       ASSERT_OK(cluster->CrashNode(0));
+       ASSERT_OK(cluster->RestartNode(0));
+       ASSERT_EQ(cluster->node(0)->RestorePendingCount(), 1u);
+     }},
+    {"node.handoff", true,
+     [](Cluster* cluster, FaultInjector*, PageId pid) {
+       ASSERT_OK(cluster->HandoffPage(pid, 1));  // Leaves a ceded tombstone.
+     }},
+};
+
+class SideFileCorruptionTest : public ::testing::TestWithParam<SideFileRow> {
+};
+
+TEST_P(SideFileCorruptionTest, FlippedByteIsCaughtAtRestart) {
+  const SideFileRow& row = GetParam();
+  TempDir dir;
+  FaultInjector injector(/*seed=*/1);
+  ClusterOptions opts;
+  opts.dir = dir.path();
+  opts.fault_injector = &injector;
+  opts.node_defaults.logging_policy.WithArchive(true);
+  opts.node_defaults.instant_restore.enabled = true;
+  Cluster cluster(opts);
+  ASSERT_OK_AND_ASSIGN(Node* node, cluster.AddNode());
+  ASSERT_OK(cluster.AddNode().status());
+  ASSERT_OK_AND_ASSIGN(PageId pid, node->AllocatePage());
+  ASSERT_OK(cluster.RunTransaction(node->id(), [&](TxnHandle& txn) {
+    return txn.Insert(pid, "committed").status();
+  }));
+  row.make(&cluster, &injector, pid);
+  if (HasFatalFailure()) return;
+  ASSERT_OK(cluster.CrashNode(node->id()));
+  const std::string path = dir.path() + "/node0/" + row.file;
+  ASSERT_TRUE(std::filesystem::exists(path));
+  FlipByteAt(path, 6);  // Past the 4-byte magic: inside the body.
+
+  if (row.refuses_restart) {
+    Status st = cluster.RestartNode(node->id());
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.ToString().find(row.file), std::string::npos)
+        << st.ToString();
+    return;
+  }
+  PageArchive probe;
+  ASSERT_OK(probe.Open(dir.path() + "/node0"));
+  EXPECT_EQ(probe.seq(), 0u);
+  EXPECT_TRUE(probe.entries().empty());
+  ASSERT_OK(probe.Close());
+  ASSERT_OK(cluster.RestartNode(node->id()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SevenFiles, SideFileCorruptionTest, ::testing::ValuesIn(kSideFiles),
+    [](const ::testing::TestParamInfo<SideFileRow>& row) {
+      std::string name = row.param.file;
+      for (char& c : name) c = c == '.' ? '_' : c;
+      return name;
+    });
 
 }  // namespace
 }  // namespace clog

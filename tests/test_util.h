@@ -5,10 +5,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 
+#include "common/codec.h"
+#include "common/fsutil.h"
 #include "common/status.h"
 
 namespace clog::testing {
@@ -35,6 +38,31 @@ class TempDir {
  private:
   std::string path_;
 };
+
+/// Writes a version-2 binary trace file (docs/observability.md) with one
+/// ring, for node 0, whose header claims `emitted` events ever emitted and
+/// `retained` events kept, followed by `present` zeroed events. The file is
+/// framed and checksummed like a real one, so a reader must catch a
+/// malformed ring from the header alone.
+inline Status WriteCraftedTraceFile(const std::string& path,
+                                    std::uint64_t capacity,
+                                    std::uint64_t emitted,
+                                    std::uint64_t retained,
+                                    std::uint64_t present) {
+  constexpr std::uint32_t kTraceMagic = 0x52544C43u;  // "CLTR"
+  constexpr std::size_t kEventBytes = 4 * 8 + 3 * 4;
+  std::string body;
+  Encoder enc(&body);
+  enc.PutU32(2);  // version
+  enc.PutU64(capacity);
+  enc.PutU32(1);  // node count
+  enc.PutU32(0);  // node
+  enc.PutU64(emitted);
+  enc.PutU64(0);  // hash
+  enc.PutU64(retained);
+  body.append(present * kEventBytes, '\0');
+  return WriteRecordFile(path, kTraceMagic, body);
+}
 
 }  // namespace clog::testing
 

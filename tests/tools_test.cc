@@ -141,7 +141,7 @@ TEST_F(ToolsTest, PagedumpVerifyAcceptsArchiveFiles) {
   {
     ClusterOptions opts;
     opts.dir = adir.path();
-    opts.node_defaults.logging_policy.WithArchiveEvery(1);
+    opts.node_defaults.logging_policy.WithArchive(true);
     Cluster archived(opts);
     Node* n = *archived.AddNode();
     PageId pid = *n->AllocatePage();
@@ -166,6 +166,23 @@ TEST_F(ToolsTest, ToolsRejectMissingFiles) {
   EXPECT_EQ(rc3, 2);  // Usage error.
   auto [rc4, out4] = Run(Tool("tracedump") + " /nonexistent/trace.bin");
   EXPECT_NE(rc4, 0);
+}
+
+TEST_F(ToolsTest, TracedumpRejectsMalformedTraceFiles) {
+  // Checksummed files whose ring headers lie: fewer events retained than
+  // min(emitted, capacity), and a retained count far past the end of the
+  // file. The tool reports the corruption and exits 1; it never aborts.
+  TempDir tdir;
+  const std::string few = tdir.path() + "/few.bin";
+  const std::string huge = tdir.path() + "/huge.bin";
+  ASSERT_OK(testing::WriteCraftedTraceFile(few, 4, 7, 2, 2));
+  ASSERT_OK(testing::WriteCraftedTraceFile(huge, 1ull << 40, 1ull << 40,
+                                           1ull << 40, 1));
+  for (const std::string& path : {few, huge}) {
+    auto [rc, out] = Run(Tool("tracedump") + " " + path);
+    EXPECT_EQ(rc, 1) << out;
+    EXPECT_NE(out.find("corruption"), std::string::npos) << out;
+  }
 }
 
 TEST_F(ToolsTest, TracedumpShowsEvents) {

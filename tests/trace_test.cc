@@ -332,6 +332,43 @@ TEST(TraceExportTest, BinaryRoundTrip) {
   }
 }
 
+TEST(TraceExportTest, BinaryRejectsMalformedRings) {
+  TempDir dir;
+  const std::string path = dir.path() + "/crafted.bin";
+  TraceSink sink;
+  sink.Emit(3, TraceEventType::kNodeCrash);
+  const std::uint64_t hash = sink.Hash();
+
+  // 7 events emitted into a ring of 4, but only 2 retained: Events() would
+  // index past the ring to find the wrap point.
+  ASSERT_OK(testing::WriteCraftedTraceFile(path, /*capacity=*/4,
+                                           /*emitted=*/7, /*retained=*/2,
+                                           /*present=*/2));
+  Status st = sink.ReadBinaryFile(path);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+
+  // A retained count consistent with the header but far past the end of
+  // the file: trusting it would reserve terabytes.
+  ASSERT_OK(testing::WriteCraftedTraceFile(path, /*capacity=*/1ull << 40,
+                                           /*emitted=*/1ull << 40,
+                                           /*retained=*/1ull << 40,
+                                           /*present=*/1));
+  st = sink.ReadBinaryFile(path);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+
+  // A failed read leaves the sink as it was.
+  EXPECT_EQ(sink.Hash(), hash);
+  EXPECT_EQ(sink.capacity_per_node(), TraceSink::kDefaultCapacityPerNode);
+
+  // The same header with every event present reads back.
+  ASSERT_OK(testing::WriteCraftedTraceFile(path, /*capacity=*/4,
+                                           /*emitted=*/7, /*retained=*/4,
+                                           /*present=*/4));
+  ASSERT_OK(sink.ReadBinaryFile(path));
+  EXPECT_EQ(sink.Events(0).size(), 4u);
+  EXPECT_EQ(sink.emitted(0), 7u);
+}
+
 TEST(TraceExportTest, BinaryRejectsGarbage) {
   TempDir dir;
   std::string path = dir.path() + "/garbage.bin";
