@@ -10,11 +10,13 @@
 
 /// \file
 /// E10: instant restore vs eager media recovery (docs/RECOVERY_WALKTHROUGH.md
-/// "Instant restore"). A node loses its data device and restarts. Eager
-/// recovery rebuilds every lost page before opening; instant restore opens
-/// after planning and rebuilds pages at first touch, so the interesting
-/// numbers are time-to-first-commit after the restart and the commit latency
-/// tail while the backlog drains. Recorded by scripts/run_bench.sh into
+/// "Instant restore"). A node loses its data device and restarts. Both
+/// variants plan the rebuild of every lost page and run the same rebuild
+/// ladder. Eager recovery fetches the pages a peer caches during restart and
+/// drains the other plans before opening; instant restore opens right after
+/// planning and rebuilds pages at first touch. The interesting numbers are
+/// time-to-first-commit after the restart and the commit latency tail while
+/// the backlog drains. Recorded by scripts/run_bench.sh into
 /// BENCH_restore.json; not regression-gated (the cost model, not the shape,
 /// moves when recovery internals change).
 
@@ -28,7 +30,8 @@ struct VariantRow {
   double first_commit_ms = 0;      ///< Restart begun -> first commit done.
   double commit_p50_ms = 0;        ///< Commit latency while backlog drains.
   double commit_p99_ms = 0;
-  std::uint64_t pages_planned = 0; ///< 0 in the eager variant.
+  /// Eager plans only the pages no peer caches; instant plans them all.
+  std::uint64_t pages_planned = 0;
 };
 
 double QuantileMs(std::vector<std::uint64_t> ns, double q) {

@@ -16,7 +16,7 @@ SHARD="${2:-0}"
 cmake -B "$BUILD_DIR" -S . -DCLOG_SANITIZE=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target torture_test media_recovery_test instant_restore_test \
-  handoff_test
+  corruption_test handoff_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R "^(torture_shard_${SHARD}|torture_recovery_crash_shard_0|torture_group_commit_shard_0|torture_adaptive_shard_0|torture_media_shard_0|torture_hammer_restore_shard_0|torture_elastic_shard_0)\$"
@@ -26,7 +26,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L adaptive
 
 # The media and restore labels cover more than the shards above (the
-# media-recovery unit tests and the instant-restore first-touch tests);
+# media-recovery and torn-page unit tests and the instant-restore
+# first-touch tests);
 # run the whole labelled set so the on-demand rebuild path gets the same
 # sanitizer coverage as the torture schedules that drive it.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L "media|restore"

@@ -325,10 +325,10 @@ class TortureRun {
       Event("media-failure on");
     }
     if (options_.hammer_restore) {
-      // Hammer: data-device losses defer their rebuilds to instant restore
-      // instead of recovering eagerly; the step loop sweeps one page per
-      // node per step so the backlog drains while the workload keeps
-      // landing on half-restored nodes.
+      // Hammer: lost and torn pages stay planned while their node serves
+      // traffic instead of draining before it opens; the step loop sweeps
+      // one page per node per step so the backlog drains while the
+      // workload keeps landing on half-restored nodes.
       copts.node_defaults.instant_restore.enabled = true;
       Event("hammer-restore on");
     }

@@ -131,8 +131,8 @@ struct TortureReport {
   std::uint64_t device_losses = 0;       ///< Device faults armed (media mode).
   std::uint64_t log_losses = 0;          ///< Of which destroyed a log device.
   std::uint64_t pages_poisoned = 0;      ///< Pages fenced unrecoverable at the end.
-  // Instant-restore counters (hammer mode; summed across nodes):
-  std::uint64_t restore_planned = 0;     ///< Pages deferred to instant restore.
+  // Lost-page rebuild counters (summed across nodes):
+  std::uint64_t restore_planned = 0;     ///< Torn or lost pages planned.
   std::uint64_t restore_from_peer = 0;   ///< Rebuilt from a peer's cached copy.
   std::uint64_t restore_from_archive = 0;///< Rebuilt from archive + redo.
   std::uint64_t restore_from_seed = 0;   ///< Rebuilt from seed + full redo.

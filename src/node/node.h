@@ -444,6 +444,36 @@ class Node : public NodeService {
   /// a rebuild is already on the stack.
   Status EnsureRestored(PageId pid);
 
+  // --- Section 2.3.4 coordinator side, shared by restart redo and the
+  //     lost-page rebuild (page_service.cc) ---
+
+  /// Batch-builds NodePSNLists: one request per node in `pages_per_node`
+  /// for all of its pages (self requests bypass the network). With
+  /// `full_history` each list covers the page's whole logged life, for a
+  /// rebuild from an archive image or the PSN seed. Empty lists are omitted.
+  Status GatherPsnLists(
+      const std::map<NodeId, std::vector<PageId>>& pages_per_node,
+      bool full_history, std::map<PageId, PsnLists>* out);
+
+  /// What one ReplayPsnSchedule did.
+  struct ReplayStats {
+    std::uint64_t rounds = 0;   ///< RecoverPage rounds issued.
+    std::uint64_t applied = 0;  ///< Redo records applied.
+    bool poisoned = false;      ///< A PSN gap fenced the page.
+  };
+
+  /// Merges `lists` into ascending PSN runs and bounces `base` through
+  /// their nodes, each round bounded below the next run (steps 1-4). Runs
+  /// wholly below the base are skipped; a run starting above the image's
+  /// PSN proves lost records, and the page is durably poisoned instead.
+  Status ReplayPsnSchedule(PageId pid, const PsnLists& lists, Page* base,
+                           ReplayStats* stats);
+
+  /// Installs a rebuilt image of own page `pid` dirty, pins the peers in
+  /// `lists` as replacers, forces it, and lifts a poison fence whose needed
+  /// PSN the image reached.
+  Status LandRebuiltPage(PageId pid, const Page& image, const PsnLists& lists);
+
   /// WAL for page transfer: before any image of `pid` leaves this node
   /// (grant-time transfer, callback, ship, recovery fetch), every local
   /// log record describing it must be durable — otherwise a page whose

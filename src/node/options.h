@@ -63,12 +63,13 @@ struct ArchiveOptions {
   bool enabled = false;
 };
 
-/// Instant restore (docs/RECOVERY_WALKTHROUGH.md "Instant restore"): after
-/// a data-device loss, restart recovery builds only a per-page restore plan
-/// and opens the node for traffic immediately; each lost page is rebuilt on
-/// first touch (synchronously for the toucher) while a background sweep
-/// drains the cold tail. Off by default: recovery rebuilds every lost page
-/// eagerly before the node comes up, exactly as before.
+/// Instant restore (docs/RECOVERY_WALKTHROUGH.md "Instant restore"). Restart
+/// recovery plans the rebuild of every own page it cannot read (torn, or
+/// lost with the data device), and one rebuild ladder runs every plan; this
+/// option decides only when. On, the node opens for traffic at once, each
+/// planned page is rebuilt on first touch (synchronously for the toucher),
+/// and a background sweep drains the cold tail. Off (the default), restart
+/// drains every plan before the node opens.
 struct InstantRestoreOptions {
   bool enabled = false;
 };
@@ -176,8 +177,8 @@ struct NodeOptions {
   /// The unified logging policy (strategy, group commit, archiving,
   /// redo parallelism).
   LoggingPolicy logging_policy;
-  /// On-demand media recovery: serve traffic while lost pages rebuild at
-  /// first touch. Disabled by default (eager rebuild, as before).
+  /// When planned lost-page rebuilds run: at first touch while the node
+  /// serves traffic, or (the default) all before the node opens.
   InstantRestoreOptions instant_restore;
   /// Optional structured-event trace sink shared by the whole cluster (not
   /// owned). nullptr = tracing off: every emit point is guarded by one

@@ -5,7 +5,9 @@
 
 /// \file
 /// NodeService handlers: the owner-side page/lock service of Section 2.2
-/// and the peer-side recovery protocol of Sections 2.3-2.4.
+/// and the peer-side recovery protocol of Sections 2.3-2.4, plus the
+/// coordinator side of Section 2.3.4 that restart redo and lost-page
+/// rebuilds share.
 
 namespace clog {
 
@@ -599,6 +601,96 @@ Status Node::HandleRecoverPage(NodeId from, PageId pid, const Page& page_in,
   work->SealChecksum();
   reply->page = std::move(work);
   metrics_.GetCounter("recovery.redo_applied").Add(reply->applied);
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Coordinator side of Section 2.3.4: restart redo and lost-page rebuilds
+// ---------------------------------------------------------------------------
+
+Status Node::GatherPsnLists(
+    const std::map<NodeId, std::vector<PageId>>& pages_per_node,
+    bool full_history, std::map<PageId, PsnLists>* out) {
+  for (const auto& [peer, pages] : pages_per_node) {
+    PsnListReply reply;
+    if (peer == id_) {
+      CLOG_RETURN_IF_ERROR(
+          HandleBuildPsnList(id_, pages, full_history, &reply));
+    } else {
+      CLOG_RETURN_IF_ERROR(
+          network_->BuildPsnList(id_, peer, pages, full_history, &reply));
+    }
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      if (!reply.per_page[i].empty()) {
+        (*out)[pages[i]][peer] = std::move(reply.per_page[i]);
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status Node::ReplayPsnSchedule(PageId pid, const PsnLists& lists, Page* base,
+                               ReplayStats* stats) {
+  // Step 1: ascending PSN order, adjacent same-node entries merged.
+  const std::vector<RecoveryRun> runs = MergePsnLists(lists);
+  // Steps 2-4: each node applies its redo until the next run's PSN.
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    // Runs wholly below the base are already reflected in it: an archive
+    // or disk base subsumes them (a full-history list holds the page's
+    // whole life).
+    if (i + 1 < runs.size() && runs[i + 1].psn <= base->psn()) continue;
+    if (runs[i].psn > base->psn()) {
+      // PSN density: every update bumped the PSN by exactly one, so the
+      // schedule must tile upward from the base without gaps. A run
+      // starting above the page's current PSN proves records existed that
+      // no surviving log holds (a destroyed client log). Serving the page
+      // would be silent data loss, so fence it durably. The verdict records
+      // the PSN a rebuild must reach; a later one that does reach it (say,
+      // that client came back) lifts the fence.
+      CLOG_RETURN_IF_ERROR(PoisonOwnPage(pid, runs[i].psn));
+      stats->poisoned = true;
+      return Status::OK();
+    }
+    const bool has_bound = i + 1 < runs.size();
+    const Psn bound = has_bound ? runs[i + 1].psn - 1 : 0;
+    const NodeId target = runs[i].node;
+    RecoverPageReply reply;
+    ++stats->rounds;
+    CLOG_RETURN_IF_ERROR(
+        target == id_
+            ? HandleRecoverPage(id_, pid, *base, has_bound, bound, &reply)
+            : network_->RecoverPage(id_, target, pid, *base, has_bound,
+                                    bound, &reply));
+    if (reply.page) base->CopyFrom(*reply.page);
+    stats->applied += reply.applied;
+  }
+  return Status::OK();
+}
+
+Status Node::LandRebuiltPage(PageId pid, const Page& image,
+                             const PsnLists& lists) {
+  Page* frame = pool_.Lookup(pid);
+  if (frame == nullptr) {
+    CLOG_ASSIGN_OR_RETURN(frame, pool_.Insert(pid));
+  }
+  frame->CopyFrom(image);
+  pool_.MarkDirty(pid);
+  for (const auto& [peer, _] : lists) {
+    if (peer != id_) replacers_[pid].insert(peer);
+  }
+  // Forcing lets every contributor clear its DPT entry via the flush
+  // notification (the conservative variant of the Section 2.3.4 DPT
+  // adjustments).
+  CLOG_RETURN_IF_ERROR(ForceOwnPage(pid));
+  const Psn needed = poison_.NeededPsn(pid);
+  if (needed != 0 && needed != kPsnUnrecoverable && image.psn() >= needed) {
+    // An earlier rebuild poisoned this page over a PSN hole, and this one
+    // got past it (a missing client's log came back). The image is durable
+    // as of the force above, so the fence can lift.
+    CLOG_RETURN_IF_ERROR(UnpoisonPage(pid));
+    metrics_.GetCounter("media.pages_unpoisoned").Add(1);
+  }
+  metrics_.GetCounter("recovery.pages_recovered").Add(1);
   return Status::OK();
 }
 

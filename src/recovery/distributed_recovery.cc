@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "recovery/redo_scheduler.h"
-#include "storage/slotted_page.h"
 #include "trace/trace_sink.h"
 #include "wal/log_reader.h"
 
@@ -107,101 +106,6 @@ Status RestartRecovery::ReconstructLocks() {
   return Status::OK();
 }
 
-Status RestartRecovery::GatherPsnLists(
-    const std::map<NodeId, std::vector<PageId>>& pages_per_node,
-    bool full_history,
-    std::map<PageId, std::map<NodeId, std::vector<PsnListEntry>>>* out) {
-  for (const auto& [peer, pages] : pages_per_node) {
-    PsnListReply reply;
-    if (peer == node_->id_) {
-      CLOG_RETURN_IF_ERROR(node_->HandleBuildPsnList(node_->id_, pages,
-                                                     full_history, &reply));
-    } else {
-      CLOG_RETURN_IF_ERROR(node_->network_->BuildPsnList(
-          node_->id_, peer, pages, full_history, &reply));
-    }
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-      if (!reply.per_page[i].empty()) {
-        (*out)[pages[i]][peer] = std::move(reply.per_page[i]);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status RestartRecovery::RedoRound(NodeId target, PageId pid, const Page& in,
-                                  bool has_bound, Psn bound,
-                                  RecoverPageReply* reply) {
-  ++stats_.redo_rounds;
-  if (target == node_->id_) {
-    return node_->HandleRecoverPage(node_->id_, pid, in, has_bound, bound,
-                                    reply);
-  }
-  return node_->network_->RecoverPage(node_->id_, target, pid, in, has_bound,
-                                      bound, reply);
-}
-
-Status RestartRecovery::CoordinatePageRecovery(
-    PageId pid, Page* base,
-    const std::map<NodeId, std::vector<PsnListEntry>>& lists) {
-  // Section 2.3.4 step 1: ascending PSN order, adjacent same-node entries
-  // merged.
-  std::vector<RecoveryRun> runs = MergePsnLists(lists);
-
-  // Steps 2-4: bounce the page through the involved nodes. Each node
-  // applies redo until the next run's PSN would be reached.
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    // Runs wholly below the base image are already-reflected history: an
-    // archive or disk base subsumes them (full-history rebuilds ask every
-    // log for the page's whole life). No round needed.
-    if (i + 1 < runs.size() && runs[i + 1].psn <= base->psn()) continue;
-    if (runs[i].psn > base->psn()) {
-      // PSN density: every update bumped the PSN by exactly one, so the
-      // schedule must tile upward from the base without gaps. A run
-      // starting above the page's current PSN proves records existed that
-      // no surviving log holds (a destroyed client log). Serving the page
-      // would be silent data loss — fence it durably instead. The verdict
-      // records the PSN the rebuild needs to reach; a later restart that
-      // does reach it (say, that client came back) lifts the fence.
-      CLOG_RETURN_IF_ERROR(node_->PoisonOwnPage(pid, runs[i].psn));
-      ++stats_.pages_poisoned;
-      return Status::OK();
-    }
-    bool has_bound = i + 1 < runs.size();
-    Psn bound = has_bound ? runs[i + 1].psn - 1 : 0;
-    RecoverPageReply reply;
-    CLOG_RETURN_IF_ERROR(
-        RedoRound(runs[i].node, pid, *base, has_bound, bound, &reply));
-    if (reply.page) base->CopyFrom(*reply.page);
-    stats_.redo_applied += reply.applied;
-  }
-
-  // The recovered image lands in our buffer pool; forcing it to disk lets
-  // every contributor clear its DPT entry via the flush notification
-  // (conservative variant of the Section 2.3.4 DPT adjustments).
-  Page* frame = node_->pool_.Lookup(pid);
-  if (frame == nullptr) {
-    CLOG_ASSIGN_OR_RETURN(frame, node_->pool_.Insert(pid));
-  }
-  frame->CopyFrom(*base);
-  node_->pool_.MarkDirty(pid);
-  for (const auto& [peer, _] : lists) {
-    if (peer != node_->id_) node_->replacers_[pid].insert(peer);
-  }
-  CLOG_RETURN_IF_ERROR(node_->ForceOwnPage(pid));
-  const Psn needed = node_->poison_.NeededPsn(pid);
-  if (needed != 0 && needed != kPsnUnrecoverable && base->psn() >= needed) {
-    // A previous restart poisoned this page over a PSN hole; this rebuild
-    // got past it (a missing client's log came back). The image is durable
-    // as of the ForceOwnPage above, so the fence can lift.
-    CLOG_RETURN_IF_ERROR(node_->UnpoisonPage(pid));
-    node_->metrics_.GetCounter("media.pages_unpoisoned").Add(1);
-  }
-  ++stats_.own_pages_recovered;
-  node_->metrics_.GetCounter("recovery.pages_recovered").Add(1);
-  return Status::OK();
-}
-
 Status RestartRecovery::RecoverOwnPages() {
   NodeId me = node_->id_;
 
@@ -246,7 +150,7 @@ Status RestartRecovery::RecoverOwnPages() {
   // the database file, so a file shorter than the allocation horizon means
   // the data device was lost and recreated. Every allocated page becomes a
   // probe candidate — even ones with no DPT entry anywhere — and the
-  // unreadable ones rebuild below from their newest archived image.
+  // unreadable ones are planned for the lost-page rebuild below.
   std::set<PageId> media_probe;
   if (node_->archive_.is_open()) {
     std::uint32_t horizon = 0;
@@ -269,15 +173,16 @@ Status RestartRecovery::RecoverOwnPages() {
       }
     }
   }
-  // Pages a previous, interrupted instant-restore epoch planned but never
-  // finished. On-demand rebuilds run in workload order, so a completed
-  // high-numbered page may have re-extended the file — the extent check
-  // above can go blind while lower pages are still holes. The durable
-  // restore ledger is the authority: its entries are probe candidates
-  // regardless of what the extent says.
+  // Pages an earlier restart planned but never finished rebuilding.
+  // Rebuilds run in workload order, so a completed high-numbered page may
+  // have re-extended the file — the extent check above can go blind while
+  // lower pages are still holes, and a torn page may have lost the DPT
+  // entry that made it a candidate. The durable restore ledger is the
+  // authority: its entries are probe candidates regardless.
   for (std::uint64_t packed : node_->restore_.LedgerEntries()) {
     const PageId pid = PageId::Unpack(packed);
-    if (pid.owner != me || !node_->space_map_.IsAllocated(pid.page_no)) {
+    if (!node_->OwnsPage(pid) ||
+        (pid.owner == me && !node_->space_map_.IsAllocated(pid.page_no))) {
       CLOG_RETURN_IF_ERROR(node_->restore_.Forget(pid));
       continue;
     }
@@ -295,10 +200,9 @@ Status RestartRecovery::RecoverOwnPages() {
     PageId pid;
     std::unique_ptr<Page> base;
     std::map<NodeId, DptEntry> involved;
-    bool full_history = false;  ///< Rebuilding a torn page from its seed.
   };
   std::vector<WorkItem> work;
-  std::uint64_t deferred = 0, deferred_with_peer = 0;
+  std::uint64_t planned_with_peer = 0;
 
   for (auto& [pid, contribs] : contributors) {
     auto cit = cached_at.find(pid);
@@ -308,9 +212,9 @@ Status RestartRecovery::RecoverOwnPages() {
     // no page transfers at all. (If the holder drops the copy first, the
     // rebuild falls back to archive + redo — the contributors' logs stay
     // pinned below either way.)
-    const bool defer_to_restore =
+    const bool defer_fetch =
         node_->options_.instant_restore.enabled && media_probe.contains(pid);
-    if (cit != cached_at.end() && !defer_to_restore) {
+    if (cit != cached_at.end() && !defer_fetch) {
       // Section 2.3.1: a copy cached at an operational node carries every
       // update made before the crash; fetch it instead of redoing logs.
       bool fetched = false;
@@ -363,108 +267,70 @@ Status RestartRecovery::RecoverOwnPages() {
     Status rd = node_->ReadDurablePage(pid, base.get());
     node_->ChargeDiskRead();
 
+    if (rd.IsCorruption() || rd.IsNotFound()) {
+      // Torn page write (the crash interrupted a flush mid-page or
+      // half-extended the file) or a lost data device: the durable image
+      // is gone. Plan its rebuild (recovery/instant_restore.h), durably, so
+      // a crash before the rebuild re-probes this page even after later
+      // rebuilds re-extend the file. Only pages *unreadable right now* are
+      // planned: anything readable was either never lost or already
+      // rebuilt, and the readable-means-restored rule the rebuild relies on
+      // holds only under that discipline.
+      InstantRestoreManager::Plan plan;
+      plan.pid = pid;
+      if (defer_fetch && cit != cached_at.end()) {
+        plan.peer_candidates = cit->second;
+        ++planned_with_peer;
+      }
+      for (const auto& [peer, _] : peer_replies_) {
+        plan.redo_sources.push_back(peer);
+      }
+      plan.priority = static_cast<std::uint32_t>(
+          contribs.size() + plan.peer_candidates.size());
+      // Pin the contributors' logs: their DPT entries stand until the
+      // rebuild's page force sends flush notifications.
+      for (const auto& [n, e] : contribs) {
+        if (n != me) node_->replacers_[pid].insert(n);
+      }
+      CLOG_RETURN_IF_ERROR(node_->restore_.Add(std::move(plan)));
+      ++stats_.pages_planned;
+      continue;
+    }
+    CLOG_RETURN_IF_ERROR(rd);
     WorkItem item;
     item.pid = pid;
-    if (rd.IsCorruption() || rd.IsNotFound()) {
-      if (node_->options_.instant_restore.enabled &&
-          media_probe.contains(pid)) {
-        // Instant restore: don't rebuild now. Record everything the
-        // on-demand rebuild will need — durably, so a crash mid-epoch
-        // re-probes this page even after later rebuilds re-extend the
-        // file — and open for traffic without it. Only pages *unreadable
-        // right now* may defer: anything readable was either never lost or
-        // already rebuilt, and the readable-means-restored rule the
-        // rebuild relies on holds only under that discipline.
-        InstantRestoreManager::Plan plan;
-        plan.pid = pid;
-        if (cit != cached_at.end()) plan.peer_candidates = cit->second;
-        for (const auto& [peer, _] : peer_replies_) {
-          plan.redo_sources.push_back(peer);
-        }
-        plan.priority = static_cast<std::uint32_t>(
-            contribs.size() + plan.peer_candidates.size());
-        if (!plan.peer_candidates.empty()) ++deferred_with_peer;
-        // Pin the contributors' logs: their DPT entries stand until the
-        // rebuild's page force sends flush notifications.
-        for (const auto& [n, e] : contribs) {
-          if (n != me) node_->replacers_[pid].insert(n);
-        }
-        CLOG_RETURN_IF_ERROR(node_->restore_.Add(std::move(plan)));
-        ++deferred;
-        ++stats_.pages_deferred;
-        continue;
+    Psn disk_psn = base->psn();
+    // Section 2.3.2: a node whose CurrPSN <= the disk PSN has all its
+    // updates on disk already — not involved; its entry can be dropped
+    // (the flush notification does exactly that).
+    for (const auto& [n, e] : contribs) {
+      if (e.curr_psn > disk_psn) {
+        item.involved[n] = e;
+      } else if (n != me) {
+        node_->network_->FlushNotify(me, n, pid, disk_psn).ok();
+      } else {
+        node_->dpt_.OnOwnerFlushed(pid, disk_psn);
       }
-      // Torn page write (the crash interrupted a flush mid-page or
-      // half-extended the file) or a lost data device. The on-disk version
-      // is gone; start from the newest archived image if one exists, else
-      // from the page's space-map PSN seed — the PSN this incarnation
-      // started at — and redo the whole history forward from that base.
-      bool from_archive = false;
-      if (node_->archive_.is_open()) {
-        Status ar = node_->archive_.Restore(pid.page_no, base.get());
-        if (ar.ok() && base->psn() >= node_->DurableSeedPsn(pid)) {
-          // (An image older than the seed is from a prior life of a freed
-          // and reallocated slot — useless for this incarnation.)
-          from_archive = true;
-          ++stats_.archive_restores;
-          node_->metrics_.GetCounter("media.archive_restores").Add(1);
-        }
-      }
-      if (!from_archive) {
-        base->Format(pid, PageType::kData, node_->DurableSeedPsn(pid));
-        SlottedPage(base.get()).InitBody();
-        node_->metrics_.GetCounter("recovery.pages_rebuilt_from_seed").Add(1);
-      }
-      item.full_history = true;
-      item.involved = contribs;
-    } else {
-      CLOG_RETURN_IF_ERROR(rd);
-      Psn disk_psn = base->psn();
-      // Section 2.3.2: a node whose CurrPSN <= the disk PSN has all its
-      // updates on disk already — not involved; its entry can be dropped
-      // (the flush notification does exactly that).
-      for (const auto& [n, e] : contribs) {
-        if (e.curr_psn > disk_psn) {
-          item.involved[n] = e;
-        } else if (n != me) {
-          node_->network_->FlushNotify(me, n, pid, disk_psn).ok();
-        } else {
-          node_->dpt_.OnOwnerFlushed(pid, disk_psn);
-        }
-      }
-      if (item.involved.empty()) {
-        ++stats_.clean_candidates;
-        continue;
-      }
+    }
+    if (item.involved.empty()) {
+      ++stats_.clean_candidates;
+      continue;
     }
     item.base = std::move(base);
     work.push_back(std::move(item));
   }
 
   // Section 2.3.4: one NodePSNList request per involved node, covering all
-  // of that node's pages. Full-history rebuilds must hear from *every*
-  // reachable node, not just DPT contributors: a node whose flushed
-  // updates were acknowledged dropped its entry, yet those updates are
-  // part of the history being replayed from the seed.
+  // of that node's pages.
   std::map<NodeId, std::vector<PageId>> pages_per_node;
-  std::map<NodeId, std::vector<PageId>> full_pages_per_node;
   for (const WorkItem& item : work) {
-    if (item.full_history) {
-      full_pages_per_node[me].push_back(item.pid);
-      for (const auto& [peer, _] : peer_replies_) {
-        full_pages_per_node[peer].push_back(item.pid);
-      }
-      continue;
-    }
     for (const auto& [n, _] : item.involved) {
       pages_per_node[n].push_back(item.pid);
     }
   }
-  std::map<PageId, std::map<NodeId, std::vector<PsnListEntry>>> lists;
+  std::map<PageId, PsnLists> lists;
   CLOG_RETURN_IF_ERROR(
-      GatherPsnLists(pages_per_node, /*full_history=*/false, &lists));
-  CLOG_RETURN_IF_ERROR(
-      GatherPsnLists(full_pages_per_node, /*full_history=*/true, &lists));
+      node_->GatherPsnLists(pages_per_node, /*full_history=*/false, &lists));
 
   // Dependency-parallel redo (recovery/redo_scheduler.h): pages whose only
   // contributor is this node need no Section 2.3.4 bouncing — their whole
@@ -472,28 +338,22 @@ Status RestartRecovery::RecoverOwnPages() {
   // the per-page RecoverPage rounds: one raw scan routes their frames into
   // page-disjoint transaction chains, replayed by the worker pool (real
   // mode) or in deterministic chain order (simulation). Everything else —
-  // multi-node histories, poisoned-density pages — keeps the bouncing path.
+  // multi-node histories, and self-only ones whose first run starts above
+  // the base (a destroyed log held the gap, so the replay poisons them) —
+  // keeps the bouncing path.
   if (node_->options_.logging_policy.redo_workers > 0 && !work.empty()) {
     std::vector<WorkItem> bounced;
     std::vector<WorkItem> scheduled;
     std::vector<RedoPageTask> tasks;
     for (WorkItem& item : work) {
       const auto& ls = lists[item.pid];
-      bool self_only = !item.full_history;
+      bool self_only = true;
       for (const auto& [n, _] : ls) {
         if (n != me) self_only = false;
       }
-      if (!self_only) {
-        bounced.push_back(std::move(item));
-        continue;
-      }
       const std::vector<RecoveryRun> runs = MergePsnLists(ls);
-      if (!runs.empty() && runs[0].psn > item.base->psn()) {
-        // Same PSN-density verdict the bouncing path would reach: records
-        // exist that tile upward from above the base — a destroyed log
-        // held the gap. Fence the page durably.
-        CLOG_RETURN_IF_ERROR(node_->PoisonOwnPage(item.pid, runs[0].psn));
-        ++stats_.pages_poisoned;
+      if (!self_only || (!runs.empty() && runs[0].psn > item.base->psn())) {
+        bounced.push_back(std::move(item));
         continue;
       }
       RedoPageTask task;
@@ -523,40 +383,37 @@ Status RestartRecovery::RecoverOwnPages() {
       node_->metrics_.GetCounter("recovery.redo_applied")
           .Add(rstats.applied);
 
-      // Install + force each redone page, with the same closing
-      // bookkeeping a self redo round would have done.
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        WorkItem& item = scheduled[i];
+      // The scheduler consumed the scan state BuildPsnList left for these
+      // pages; the landing is the one a bounced page gets.
+      for (const WorkItem& item : scheduled) {
         node_->recovery_cursor_.erase(item.pid);
         node_->recovery_applied_.erase(item.pid);
-        Page* frame = node_->pool_.Lookup(item.pid);
-        if (frame == nullptr) {
-          CLOG_ASSIGN_OR_RETURN(frame, node_->pool_.Insert(item.pid));
-        }
-        frame->CopyFrom(*item.base);
-        node_->pool_.MarkDirty(item.pid);
-        CLOG_RETURN_IF_ERROR(node_->ForceOwnPage(item.pid));
-        const Psn needed = node_->poison_.NeededPsn(item.pid);
-        if (needed != 0 && needed != kPsnUnrecoverable &&
-            item.base->psn() >= needed) {
-          CLOG_RETURN_IF_ERROR(node_->UnpoisonPage(item.pid));
-          node_->metrics_.GetCounter("media.pages_unpoisoned").Add(1);
-        }
+        CLOG_RETURN_IF_ERROR(
+            node_->LandRebuiltPage(item.pid, *item.base, lists[item.pid]));
         ++stats_.own_pages_recovered;
-        node_->metrics_.GetCounter("recovery.pages_recovered").Add(1);
       }
     }
     work = std::move(bounced);
   }
 
   for (WorkItem& item : work) {
+    Node::ReplayStats replay;
+    CLOG_RETURN_IF_ERROR(node_->ReplayPsnSchedule(item.pid, lists[item.pid],
+                                                  item.base.get(), &replay));
+    stats_.redo_rounds += replay.rounds;
+    stats_.redo_applied += replay.applied;
+    if (replay.poisoned) {
+      ++stats_.pages_poisoned;
+      continue;
+    }
     CLOG_RETURN_IF_ERROR(
-        CoordinatePageRecovery(item.pid, item.base.get(), lists[item.pid]));
+        node_->LandRebuiltPage(item.pid, *item.base, lists[item.pid]));
+    ++stats_.own_pages_recovered;
   }
 
   // Ledger hygiene: any restore-ledger entry without a live plan was
-  // handled eagerly above (rescued from a peer cache, readable after all,
-  // rebuilt, or poisoned) — durably forget it so later restarts stop
+  // settled above (rescued from a peer cache, readable after all, or
+  // permanently poisoned) — durably forget it so later restarts stop
   // re-probing it.
   for (std::uint64_t packed : node_->restore_.LedgerEntries()) {
     const PageId pid = PageId::Unpack(packed);
@@ -564,12 +421,19 @@ Status RestartRecovery::RecoverOwnPages() {
       CLOG_RETURN_IF_ERROR(node_->restore_.Forget(pid));
     }
   }
-  if (deferred != 0) {
-    node_->metrics_.GetCounter("restore.pages_planned").Add(deferred);
+  if (stats_.pages_planned != 0) {
+    node_->metrics_.GetCounter("restore.pages_planned")
+        .Add(stats_.pages_planned);
     if (node_->trace_ != nullptr) {
-      node_->trace_->Emit(me, TraceEventType::kRestorePlan, deferred,
-                          deferred_with_peer);
+      node_->trace_->Emit(me, TraceEventType::kRestorePlan,
+                          stats_.pages_planned, planned_with_peer);
     }
+  }
+  if (!node_->options_.instant_restore.enabled) {
+    // Without instant restore the node opens only once every plan is
+    // rebuilt.
+    stats_.pages_drained = node_->restore_.pending();
+    CLOG_RETURN_IF_ERROR(node_->restore_.Drain(node_));
   }
   return Status::OK();
 }
@@ -688,8 +552,9 @@ Status RestartRecovery::RecoverRemotePages() {
     CLOG_RETURN_IF_ERROR(
         node_->HandleBuildPsnList(me, {pid}, /*full_history=*/false, &plist));
     RecoverPageReply rreply;
-    CLOG_RETURN_IF_ERROR(
-        RedoRound(me, pid, base, /*has_bound=*/false, 0, &rreply));
+    ++stats_.redo_rounds;
+    CLOG_RETURN_IF_ERROR(node_->HandleRecoverPage(
+        me, pid, base, /*has_bound=*/false, 0, &rreply));
     stats_.redo_applied += rreply.applied;
     Page* frame = node_->pool_.Lookup(pid);
     if (frame == nullptr) {
@@ -795,9 +660,9 @@ Status RestartRecovery::RedoPages() {
   node_->recovery_redo_done_ = true;
   if (node_->trace_ != nullptr &&
       (log_lost_ || stats_.media_candidates != 0 ||
-       stats_.archive_restores != 0 || stats_.pages_poisoned != 0)) {
+       stats_.pages_drained != 0 || stats_.pages_poisoned != 0)) {
     node_->trace_->Emit(node_->id_, TraceEventType::kMediaRecovery,
-                        stats_.media_candidates, stats_.archive_restores,
+                        stats_.media_candidates, stats_.pages_drained,
                         static_cast<std::uint32_t>(stats_.pages_poisoned));
   }
   FinishPhase(2, "recovery.redo_ns", t0);

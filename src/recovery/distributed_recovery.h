@@ -24,7 +24,10 @@
 ///     peers, exclusive ones retained and reported back),
 ///  4. determines the pages that may require recovery, fetching the ones
 ///     still cached at a peer and redo-coordinating the rest across the
-///     involved nodes in ascending PSN order via NodePSNLists,
+///     involved nodes in ascending PSN order via NodePSNLists; a page whose
+///     durable image is unreadable (torn, or on a lost data device) is
+///     planned for the lost-page rebuild (recovery/instant_restore.h),
+///     which runs before the node opens unless instant restore is on,
 ///  5. rolls back its loser transactions and takes a fresh checkpoint.
 ///
 /// Log files are never merged; each node only ever scans its own log.
@@ -58,9 +61,9 @@ class RestartRecovery {
     std::uint64_t parallel_applied = 0;    ///< Records the scheduler applied.
     // --- Media recovery (data/log device loss) ---
     std::uint64_t media_candidates = 0;    ///< Probe candidates from device scan.
-    std::uint64_t archive_restores = 0;    ///< Bases restored from the archive.
     std::uint64_t pages_poisoned = 0;      ///< Pages fenced as unrecoverable.
-    std::uint64_t pages_deferred = 0;      ///< Planned for instant restore.
+    std::uint64_t pages_planned = 0;       ///< Torn or lost: planned rebuilds.
+    std::uint64_t pages_drained = 0;       ///< Plans rebuilt before opening.
     bool log_loss_detected = false;        ///< Log shorter than its durable mark.
   };
 
@@ -126,24 +129,6 @@ class RestartRecovery {
   /// lost log may have held the top of their history.
   Status RecoverOwnPagesAfterLogLoss(
       const std::map<PageId, std::vector<NodeId>>& cached_at);
-
-  /// Bounces `pid` between the involved nodes in ascending PSN order
-  /// (2.3.4 steps 1-4); `base` is consumed and the final image returned
-  /// into the node's pool.
-  Status CoordinatePageRecovery(PageId pid, Page* base,
-                                const std::map<NodeId, std::vector<PsnListEntry>>& lists);
-
-  /// Issues one redo round to `target` (self targets bypass the network).
-  Status RedoRound(NodeId target, PageId pid, const Page& in, bool has_bound,
-                   Psn bound, RecoverPageReply* reply);
-
-  /// Batch-builds NodePSNLists: one request per involved node covering all
-  /// its pages (2.3.4). `full_history` asks peers to scan their whole log
-  /// ignoring their DPT (torn-page rebuild from the space-map PSN seed).
-  Status GatherPsnLists(
-      const std::map<NodeId, std::vector<PageId>>& pages_per_node,
-      bool full_history,
-      std::map<PageId, std::map<NodeId, std::vector<PsnListEntry>>>* out);
 
   /// Records one phase's duration into the node's `hist_name` histogram and
   /// emits a RECOVERY_PHASE trace event (a=phase index, b=duration ns).

@@ -1,44 +1,44 @@
 #include "recovery/instant_restore.h"
 
-#include <algorithm>
-
 #include "node/node.h"
-#include "recovery/node_psn_list.h"
 #include "storage/slotted_page.h"
 #include "trace/trace_sink.h"
 
 /// \file
-/// On-demand page rebuild. RestoreOne is the per-page mirror of eager
-/// recovery's CoordinatePageRecovery, with one extra invariant it leans on
-/// throughout: the lost data device was recreated *empty*, so during a
-/// restore epoch any checksum-valid image readable from it was written
-/// after the crash — by a shipped peer copy, an eviction, or an earlier
-/// rebuild — and every such source is a complete current version of the
-/// page. "Readable on the recreated device" therefore means "restored".
-/// Restart recovery keeps that equivalence honest by only planning pages
-/// that were unreadable when the plan was built.
+/// The lost-page rebuild. Restart recovery plans every own page whose
+/// durable image it cannot read (a torn write, or a lost data device);
+/// RestoreOne rebuilds one plan at first touch, Sweep drains the cold tail,
+/// and Drain rebuilds every plan before the node opens when instant
+/// restore is off. All three run the same ladder, leaning on one invariant:
+/// a planned page was unreadable when planned, and nothing but a complete
+/// current version (a shipped peer copy, an eviction, an earlier rebuild)
+/// writes it afterwards, so "readable" means "restored". Restart recovery
+/// keeps that equivalence honest by planning only pages unreadable at plan
+/// time.
 
 namespace clog {
 
 namespace {
 
 /// RAII for the per-page re-entrancy gate: a rebuild's own page forces
-/// and disk reads must not loop back into RestoreOne for the same page.
-/// Nested rebuild conversations (real-mode reentrant waits) unwind LIFO,
-/// so a push/pop stack tracks exactly the pages mid-rebuild on this
+/// and disk reads must not loop back into another rebuild of the same
+/// pages. Nested rebuild conversations (real-mode reentrant waits) unwind
+/// LIFO, so a push/pop stack tracks exactly the pages mid-rebuild on this
 /// call stack.
 class InRestoreGuard {
  public:
-  InRestoreGuard(std::vector<std::uint64_t>* stack, PageId pid)
-      : stack_(stack) {
-    stack_->push_back(pid.Pack());
+  InRestoreGuard(std::vector<std::uint64_t>* stack,
+                 const std::vector<PageId>& pids)
+      : stack_(stack), size_(stack->size()) {
+    for (PageId pid : pids) stack_->push_back(pid.Pack());
   }
-  ~InRestoreGuard() { stack_->pop_back(); }
+  ~InRestoreGuard() { stack_->resize(size_); }
   InRestoreGuard(const InRestoreGuard&) = delete;
   InRestoreGuard& operator=(const InRestoreGuard&) = delete;
 
  private:
   std::vector<std::uint64_t>* stack_;
+  std::size_t size_;
 };
 
 }  // namespace
@@ -119,205 +119,194 @@ Status InstantRestoreManager::Finish(Node* node, PageId pid, Psn psn,
   return Status::OK();
 }
 
+Status InstantRestoreManager::Blocked(Node* node, const Status& st) {
+  node->metrics_.GetCounter("restore.blocked_on_peer").Add(1);
+  return Status::Unavailable("restore blocked on a redo source: " +
+                             st.ToString());
+}
+
+Status InstantRestoreManager::LiftPoison(Node* node, PageId pid) {
+  // The image just made durable descends from a complete current copy;
+  // it supersedes any poison verdict, even a permanent one (the same
+  // rescue restart applies to surviving cached copies).
+  if (!node->poison_.Contains(pid)) return Status::OK();
+  CLOG_RETURN_IF_ERROR(node->UnpoisonPage(pid));
+  node->metrics_.GetCounter("media.pages_unpoisoned").Add(1);
+  return Status::OK();
+}
+
 Status InstantRestoreManager::RestoreOne(Node* node, PageId pid) {
-  auto it = plans_.find(pid.Pack());
-  if (it == plans_.end()) return Status::OK();  // Already restored.
-  const Plan plan = it->second;  // Copy: Finish erases the entry.
+  if (!IsRestoring(pid)) return Status::OK();  // Already restored.
+  return RunLadder(node, {pid});
+}
+
+Status InstantRestoreManager::Drain(Node* node) {
+  epoch_start_ns_ = node->network_->clock()->NowNanos();
+  restored_this_epoch_ = 0;
+  std::vector<PageId> planned;
+  for (const auto& [packed, plan] : plans_) planned.push_back(plan.pid);
+  Status st = RunLadder(node, planned);
+  // A blocked rebuild leaves its page planned, and the node must not open
+  // with it: NodeDown makes restart void the round and re-enter later.
+  return st.IsUnavailable() ? Status::NodeDown(st.ToString()) : st;
+}
+
+Status InstantRestoreManager::RunLadder(Node* node,
+                                        const std::vector<PageId>& pids) {
   const std::uint64_t t0 = node->network_->clock()->NowNanos();
-  InRestoreGuard guard(&in_restore_pids_, pid);
+  InRestoreGuard guard(&in_restore_pids_, pids);
+  // Rungs 1-4 per page; the pages they leave need fresh full-history PSN
+  // lists, one request per redo source. BuildPsnList starts a new
+  // conversation (it clears stale resume cursors), so a rebuild interrupted
+  // by a crash or a down peer re-enters cleanly. An unreachable source
+  // blocks this attempt only: without its list the schedule could hide a
+  // hole, and a maybe-stale page must never be served.
+  std::vector<PageId> unsettled;
+  std::map<NodeId, std::vector<PageId>> pages_per_node;
+  for (PageId pid : pids) {
+    CLOG_ASSIGN_OR_RETURN(bool settled, Settle(node, pid, t0));
+    if (settled) continue;
+    unsettled.push_back(pid);
+    pages_per_node[node->id_].push_back(pid);
+    for (NodeId peer : plans_.at(pid.Pack()).redo_sources) {
+      pages_per_node[peer].push_back(pid);
+    }
+  }
+  std::map<PageId, PsnLists> lists;
+  Status st = node->GatherPsnLists(pages_per_node, /*full_history=*/true,
+                                   &lists);
+  if (st.IsNodeDown() || st.IsUnavailable()) return Blocked(node, st);
+  CLOG_RETURN_IF_ERROR(st);
+  for (PageId pid : unsettled) {
+    if (!IsRestoring(pid)) continue;  // A nested touch rebuilt it.
+    CLOG_RETURN_IF_ERROR(Rebuild(node, pid, lists[pid], t0));
+  }
+  return Status::OK();
+}
 
-  auto lift_poison = [&]() -> Status {
-    // The image just made durable descends from a complete current copy;
-    // it supersedes any poison verdict, even a permanent one (same rescue
-    // eager recovery applies to surviving cached copies).
-    if (!node->poison_.Contains(pid)) return Status::OK();
-    CLOG_RETURN_IF_ERROR(node->UnpoisonPage(pid));
-    node->metrics_.GetCounter("media.pages_unpoisoned").Add(1);
-    return Status::OK();
-  };
-
-  // 1. A cached copy already here. During a restore epoch the only way an
-  //    own page enters the pool is a peer shipping it (install) or a
-  //    finished rebuild — both complete. Partially-redone images never
-  //    touch the pool (the redo ladder below works on a local scratch
-  //    page), so this copy is current; make it durable and be done.
+Result<bool> InstantRestoreManager::Settle(Node* node, PageId pid,
+                                           std::uint64_t t0) {
+  // 1. A cached copy already here. During a restore epoch the only way a
+  //    planned page enters the pool is a peer shipping it (install) or a
+  //    finished rebuild, and both are complete. Partially-redone images
+  //    never touch the pool (Rebuild works on a local scratch page), so
+  //    this copy is current; make it durable and be done.
   if (Page* cached = node->pool_.Lookup(pid)) {
     const Psn psn = cached->psn();
     if (node->pool_.IsDirty(pid)) {
       CLOG_RETURN_IF_ERROR(node->ForceOwnPage(pid));
     }
-    CLOG_RETURN_IF_ERROR(lift_poison());
+    CLOG_RETURN_IF_ERROR(LiftPoison(node, pid));
     node->metrics_.GetCounter("restore.pages_already_durable").Add(1);
-    return Finish(node, pid, psn, RestoreSource::kAlreadyDurable, t0);
+    CLOG_RETURN_IF_ERROR(
+        Finish(node, pid, psn, RestoreSource::kAlreadyDurable, t0));
+    return true;
   }
 
-  // 2. A readable image on the recreated device (restore-epoch invariant:
-  //    it was written post-crash from a complete source — a shipped copy
-  //    forced through a full pool, an eviction write-back).
+  // 2. A readable durable image (restore-epoch invariant: it was written
+  //    after the plan from a complete source, such as a shipped copy
+  //    forced through a full pool or an eviction write-back).
   {
     Page probe;
-    if (node->ReadOwnPage(pid.page_no, &probe).ok()) {
+    if (node->ReadDurablePage(pid, &probe).ok()) {
       node->ChargeDiskRead();
-      CLOG_RETURN_IF_ERROR(lift_poison());
+      CLOG_RETURN_IF_ERROR(LiftPoison(node, pid));
       node->metrics_.GetCounter("restore.pages_already_durable").Add(1);
-      return Finish(node, pid, probe.psn(), RestoreSource::kAlreadyDurable,
-                    t0);
+      CLOG_RETURN_IF_ERROR(Finish(node, pid, probe.psn(),
+                                  RestoreSource::kAlreadyDurable, t0));
+      return true;
     }
   }
 
   // 3. Fast path: a peer from the plan still caches the page. Any cached
   //    copy carries the page's entire committed history.
-  for (NodeId holder : plan.peer_candidates) {
+  const std::vector<NodeId> candidates = plans_.at(pid.Pack()).peer_candidates;
+  for (NodeId holder : candidates) {
     std::shared_ptr<Page> copy;
     Status st = node->network_->FetchCachedPage(node->id_, holder, pid, &copy);
     if (!st.ok() || !copy) continue;  // Down or evicted: next candidate.
     const Psn psn = copy->psn();
     CLOG_RETURN_IF_ERROR(node->InstallShippedCopy(*copy, holder));
-    // Dirty in the pool, or bypass-written to disk by a full pool — either
+    // Dirty in the pool, or bypass-written to disk by a full pool. Either
     // way ForceOwnPage leaves it durable and flush-notifies the plan-time
     // contributors waiting on this page.
     CLOG_RETURN_IF_ERROR(node->ForceOwnPage(pid));
-    CLOG_RETURN_IF_ERROR(lift_poison());
+    CLOG_RETURN_IF_ERROR(LiftPoison(node, pid));
     node->metrics_.GetCounter("restore.pages_from_peer").Add(1);
-    return Finish(node, pid, psn, RestoreSource::kPeerCache, t0);
+    CLOG_RETURN_IF_ERROR(Finish(node, pid, psn, RestoreSource::kPeerCache, t0));
+    return true;
   }
 
   // 4. No complete copy anywhere, and a destroyed client log already proved
   //    the top of this page's history unrecoverable: the fence stands. The
-  //    page leaves the restoring set — its rebuild verdict is the poison
-  //    entry, and service paths refuse it with Corruption as in eager mode.
+  //    page leaves the restoring set; its rebuild verdict is the poison
+  //    entry, and service paths refuse it with Corruption.
   if (node->poison_.NeededPsn(pid) == kPsnUnrecoverable) {
     node->metrics_.GetCounter("restore.pages_poisoned").Add(1);
-    return Finish(node, pid, 0, RestoreSource::kPoisoned, t0);
+    CLOG_RETURN_IF_ERROR(Finish(node, pid, 0, RestoreSource::kPoisoned, t0));
+    return true;
   }
+  return !IsRestoring(pid);  // A nested rebuild may have run at a wait.
+}
 
-  // 5. Slow path: newest archived image (or the space-map PSN seed) plus
-  //    the merged full-history redo schedule across every planned source's
-  //    client log — the per-page core of eager media recovery.
+Status InstantRestoreManager::Rebuild(Node* node, PageId pid,
+                                      const PsnLists& lists,
+                                      std::uint64_t t0) {
+  // 5. Slow path: the newest archived image (or the PSN seed) plus the
+  //    merged full-history redo schedule across every source's client log.
+  const Psn seed = node->DurableSeedPsn(pid);
   Page base;
   bool from_archive = false;
-  if (node->archive_.is_open()) {
+  // The archive holds home pages only; an adopted page's slot there is
+  // this node's own page of the same number.
+  if (node->archive_.is_open() && pid.owner == node->id_) {
     Status ar = node->archive_.Restore(pid.page_no, &base);
-    if (ar.ok() && base.psn() >= node->space_map_.PsnSeed(pid.page_no)) {
+    // An image older than the seed is from a prior life of a freed and
+    // reallocated slot, useless for this incarnation.
+    if (ar.ok() && base.psn() >= seed) {
       from_archive = true;
       node->metrics_.GetCounter("media.archive_restores").Add(1);
     }
   }
   if (!from_archive) {
-    base.Format(pid, PageType::kData, node->space_map_.PsnSeed(pid.page_no));
+    base.Format(pid, PageType::kData, seed);
     SlottedPage(&base).InitBody();
     node->metrics_.GetCounter("recovery.pages_rebuilt_from_seed").Add(1);
   }
-
-  // Fresh full-history PSN lists at touch time. BuildPsnList starts a new
-  // conversation (it clears stale resume cursors), so a rebuild interrupted
-  // by a crash or a down peer re-enters cleanly. An unreachable source is
-  // fatal for *this attempt* only: without its list the schedule could hide
-  // a hole, and a maybe-stale page must never be served.
-  std::map<NodeId, std::vector<PsnListEntry>> lists;
-  {
-    PsnListReply reply;
-    CLOG_RETURN_IF_ERROR(node->HandleBuildPsnList(
-        node->id_, {pid}, /*full_history=*/true, &reply));
-    if (!reply.per_page[0].empty()) {
-      lists[node->id_] = std::move(reply.per_page[0]);
-    }
-  }
-  for (NodeId peer : plan.redo_sources) {
-    if (peer == node->id_) continue;
-    PsnListReply reply;
-    Status st = node->network_->BuildPsnList(node->id_, peer, {pid},
-                                             /*full_history=*/true, &reply);
-    if (!st.ok()) {
-      node->metrics_.GetCounter("restore.blocked_on_peer").Add(1);
-      return Status::Unavailable("restore of " + pid.ToString() +
-                                 " blocked: redo source " +
-                                 std::to_string(peer) + " unreachable");
-    }
-    if (!reply.per_page[0].empty()) {
-      lists[peer] = std::move(reply.per_page[0]);
-    }
+  Node::ReplayStats replay;
+  Status st = node->ReplayPsnSchedule(pid, lists, &base, &replay);
+  if (st.IsNodeDown() || st.IsUnavailable()) return Blocked(node, st);
+  CLOG_RETURN_IF_ERROR(st);
+  if (replay.poisoned) {
+    node->metrics_.GetCounter("restore.pages_poisoned").Add(1);
+    return Finish(node, pid, base.psn(), RestoreSource::kPoisoned, t0);
   }
 
-  const std::vector<RecoveryRun> runs = MergePsnLists(lists);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    // Runs wholly below the base image are already-reflected history.
-    if (i + 1 < runs.size() && runs[i + 1].psn <= base.psn()) continue;
-    if (runs[i].psn > base.psn()) {
-      // PSN density: a run starting above the page's current PSN proves
-      // records existed that no surviving log holds. Fence durably; the
-      // needed PSN lets a later rebuild that does reach it lift the fence.
-      CLOG_RETURN_IF_ERROR(node->PoisonOwnPage(pid, runs[i].psn));
-      node->metrics_.GetCounter("restore.pages_poisoned").Add(1);
-      return Finish(node, pid, base.psn(), RestoreSource::kPoisoned, t0);
-    }
-    const bool has_bound = i + 1 < runs.size();
-    const Psn bound = has_bound ? runs[i + 1].psn - 1 : 0;
-    RecoverPageReply reply;
-    Status st;
-    if (runs[i].node == node->id_) {
-      st = node->HandleRecoverPage(node->id_, pid, base, has_bound, bound,
-                                   &reply);
-    } else {
-      st = node->network_->RecoverPage(node->id_, runs[i].node, pid, base,
-                                       has_bound, bound, &reply);
-    }
-    if (st.IsNodeDown() || st.IsUnavailable()) {
-      node->metrics_.GetCounter("restore.blocked_on_peer").Add(1);
-      return Status::Unavailable("restore of " + pid.ToString() +
-                                 " blocked: redo source " +
-                                 std::to_string(runs[i].node) +
-                                 " unreachable");
-    }
-    CLOG_RETURN_IF_ERROR(st);
-    if (reply.page) base.CopyFrom(*reply.page);
-  }
-
-  // Land the rebuilt image and force it durable, exactly as eager
-  // CoordinatePageRecovery does: every contributor clears its DPT entry
-  // via the flush notification.
-  //
   // Landing is PSN-monotonic. Two rebuild conversations for the same page
   // can interleave at re-entrant wait points (a background sweeper and a
   // first-touch rebuild): the per-page recovery cursors on the redo
   // sources alias across conversations, so the conversation that resumes
   // after the other finished may have replayed nothing and still hold the
   // bare base image. A rebuilt image therefore never replaces a newer
-  // pool or durable version — the interleaved duplicate becomes wasted
+  // pool or durable version; the interleaved duplicate becomes wasted
   // work instead of a silent rollback of committed history.
-  Page* frame = node->pool_.Lookup(pid);
-  if (frame != nullptr && frame->psn() >= base.psn()) {
-    CLOG_RETURN_IF_ERROR(lift_poison());
-    return Finish(node, pid, frame->psn(), RestoreSource::kAlreadyDurable, t0);
+  const Page* newest = node->pool_.Lookup(pid);
+  Page durable;
+  if (newest == nullptr && node->ReadDurablePage(pid, &durable).ok() &&
+      durable.psn() >= base.psn()) {
+    node->ChargeDiskRead();
+    newest = &durable;
   }
-  if (frame == nullptr) {
-    Page durable;
-    if (node->ReadOwnPage(pid.page_no, &durable).ok() &&
-        durable.psn() >= base.psn()) {
-      node->ChargeDiskRead();
-      CLOG_RETURN_IF_ERROR(lift_poison());
-      return Finish(node, pid, durable.psn(), RestoreSource::kAlreadyDurable,
-                    t0);
-    }
-    CLOG_ASSIGN_OR_RETURN(frame, node->pool_.Insert(pid));
+  if (newest != nullptr && newest->psn() >= base.psn()) {
+    CLOG_RETURN_IF_ERROR(LiftPoison(node, pid));
+    return Finish(node, pid, newest->psn(), RestoreSource::kAlreadyDurable,
+                  t0);
   }
-  frame->CopyFrom(base);
-  node->pool_.MarkDirty(pid);
-  for (const auto& [peer, list] : lists) {
-    (void)list;
-    if (peer != node->id_) node->replacers_[pid].insert(peer);
-  }
-  CLOG_RETURN_IF_ERROR(node->ForceOwnPage(pid));
-  const Psn needed = node->poison_.NeededPsn(pid);
-  if (needed != 0 && needed != kPsnUnrecoverable && base.psn() >= needed) {
-    CLOG_RETURN_IF_ERROR(node->UnpoisonPage(pid));
-    node->metrics_.GetCounter("media.pages_unpoisoned").Add(1);
-  }
+  CLOG_RETURN_IF_ERROR(node->LandRebuiltPage(pid, base, lists));
   node->metrics_
       .GetCounter(from_archive ? "restore.pages_from_archive"
                                : "restore.pages_from_seed")
       .Add(1);
-  node->metrics_.GetCounter("recovery.pages_recovered").Add(1);
   return Finish(node, pid, base.psn(),
                 from_archive ? RestoreSource::kArchiveRedo
                              : RestoreSource::kSeedRedo,

@@ -10,39 +10,34 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "node/archive.h"
+#include "recovery/node_psn_list.h"
 
 /// \file
-/// Instant restore: serve traffic during media recovery.
+/// The lost-page rebuild, and instant restore: serving traffic during it.
 ///
-/// Eager media recovery (docs/RECOVERY_WALKTHROUGH.md) rebuilds every page
-/// lost with the data device before the node leaves restart recovery — the
-/// node's time-to-first-commit is the full distributed redo collection. In
-/// the paper's architecture that is doubly unfortunate: the redo history of
-/// an owner's pages lives in *other nodes'* client logs, so the rebuild is
-/// network-bound, and meanwhile the node's own log — the only thing commit
-/// latency depends on — is perfectly healthy.
+/// Restart recovery plans the rebuild of every own page whose durable image
+/// it cannot read: a crash tore the page write, or the data device was lost
+/// and recreated empty. A plan names the peers caching a copy and the peers
+/// whose client logs hold redo, and one ladder rebuilds it: a copy already
+/// here, a readable image, a peer's cached copy, a permanent poison
+/// verdict, and last an archive image or PSN seed plus the merged cross-log
+/// redo schedule. A hole in that schedule poisons the page durably; stale
+/// data is never served.
 ///
-/// Instant restore splits "when a page becomes servable" from "whether it
-/// is provable". Restart recovery builds only a per-page *restore plan*
-/// (which peers cache a copy, which peers' logs hold redo) and the node
-/// opens for traffic immediately. The first touch of a restoring page
-/// rebuilds it synchronously for the toucher — peer cached copy if one
-/// survives, else archive image plus the merged cross-log redo schedule —
-/// while a background sweeper drains the cold tail in plan-priority order.
-/// Poisoned pages stay fenced exactly as in eager recovery: a rebuild that
-/// finds a hole in the PSN schedule records the poison verdict durably and
-/// the page refuses service, never serving stale data.
+/// NodeOptions::instant_restore decides only when the plans run. Off, Drain
+/// rebuilds them all before the node opens. On, the node opens at once: the
+/// first touch of a restoring page rebuilds it for the toucher, and a
+/// background sweeper drains the cold tail in plan-priority order.
 ///
-/// Crash re-entry is the subtle part. Eager recovery re-detects lost pages
-/// by a file-extent check (the recreated device is shorter than the
-/// allocation horizon). Instant restore rebuilds pages in workload order,
-/// so a high-numbered page restored first re-extends the file and the
-/// extent check goes blind while low pages are still holes. The manager
-/// therefore keeps a durable *restore ledger* ("node.restore", the same
-/// crash-atomic machinery as the poison ledger): every planned page is
-/// added before the node opens, removed as each page completes, and any
-/// entries found at the next restart are re-probed as lost-page candidates
-/// regardless of what the extent check says.
+/// Crash re-entry is the subtle part. Restart finds lost pages by a
+/// file-extent check (the recreated device is shorter than the allocation
+/// horizon) and torn pages only while a DPT entry names them. Rebuilds run
+/// in workload order, so a high-numbered page restored first re-extends the
+/// file and blinds the extent check while low pages are still holes. So
+/// every plan is also recorded in a durable *restore ledger*
+/// ("node.restore", the poison ledger's crash-atomic format) before the
+/// node opens and removed when its page completes, and the next restart
+/// re-probes every entry it finds.
 
 namespace clog {
 
@@ -71,14 +66,15 @@ class InstantRestoreManager {
   /// itself never depends on recovery-time state that a crash would lose.
   struct Plan {
     PageId pid;
-    /// Peers that reported a cached copy of the page at plan time. A cached
-    /// copy carries every update ever made (PSNs are totally ordered per
-    /// page), so fetching one is a complete restore. Clean copies may be
-    /// evicted at any moment — candidates are a fast path, never load-bearing.
+    /// Peers that reported a cached copy of the page at plan time and that
+    /// restart did not already try. A cached copy carries every update ever
+    /// made (PSNs are totally ordered per page), so fetching one is a
+    /// complete restore. Clean copies may be evicted at any moment —
+    /// candidates are a fast path, never load-bearing.
     std::vector<NodeId> peer_candidates;
     /// Peers whose client logs may hold redo for this page (everyone that
     /// answered the recovery query, plus ourselves implicitly). The rebuild
-    /// re-asks each for a fresh full-history PSN list at touch time.
+    /// asks each for a fresh full-history PSN list when it runs.
     std::vector<NodeId> redo_sources;
     /// Plan-time evidence of heat: contributors + cachers. The sweeper
     /// drains hotter pages first; on-demand touches jump the queue anyway.
@@ -99,7 +95,7 @@ class InstantRestoreManager {
     return !plans_.empty() && plans_.contains(pid.Pack());
   }
 
-  /// True while RestoreOne for *this page* is on the current call stack;
+  /// True while a rebuild of *this page* is on the current call stack;
   /// Node's touch hooks no-op then, so the rebuild's own page forces
   /// cannot recurse into another rebuild of the same page. Per-page on
   /// purpose: in real mode a blocked rebuild conversation re-enters the
@@ -113,19 +109,19 @@ class InstantRestoreManager {
     return false;
   }
 
-  /// Packed PageIds recorded in the durable ledger — pages a previous,
-  /// interrupted restore epoch planned but never finished. Restart recovery
-  /// must treat them as lost-page candidates even when the extent check
-  /// passes.
+  /// Packed PageIds recorded in the durable ledger — pages an earlier
+  /// restart planned but never finished rebuilding. Restart recovery must
+  /// treat them as lost-page candidates even when the extent check passes.
   std::vector<std::uint64_t> LedgerEntries() const;
 
   /// Records `plan` durably (ledger first, then the in-memory plan): a
-  /// crash after Plan() re-probes the page, a crash before it re-detects
-  /// the loss by extent. Called by recovery's RecoverOwnPages.
+  /// crash after Add re-probes the page, a crash before it re-detects the
+  /// loss by extent. Called by recovery's RecoverOwnPages.
   Status Add(Plan plan);
 
-  /// Durably forgets a ledger entry without a rebuild — the eager path
-  /// finished this page itself (instant restore disabled on re-entry).
+  /// Durably forgets a ledger entry that has no plan: restart settled the
+  /// page without a rebuild (a peer's cached copy, a readable image, a
+  /// permanent poison verdict), or the page is no longer this node's.
   Status Forget(PageId pid);
 
   /// Marks the moment the node opened for traffic with restores pending;
@@ -146,6 +142,13 @@ class InstantRestoreManager {
   /// availability.
   Status RestoreOne(Node* node, PageId pid);
 
+  /// Rebuilds every plan before the node opens (instant restore off), by
+  /// the same ladder as RestoreOne. NodeDown when a rebuild blocks on a
+  /// down redo source: restart then voids the round instead of opening
+  /// with the page still planned. RESTORE_DONE reports the time since the
+  /// drain began.
+  Status Drain(Node* node);
+
   /// Rebuilds up to `max_pages` pending pages in priority order; stops
   /// early if a rebuild blocks on a down peer. Returns pages completed.
   std::size_t Sweep(Node* node, std::size_t max_pages);
@@ -154,10 +157,31 @@ class InstantRestoreManager {
   Status Finish(Node* node, PageId pid, Psn psn, RestoreSource source,
                 std::uint64_t t0_ns);
 
+  /// The cheap rungs of the ladder: a copy already in the pool, a readable
+  /// durable image, a peer's cached copy, a permanent poison verdict. True
+  /// when the page is no longer planned.
+  Result<bool> Settle(Node* node, PageId pid, std::uint64_t t0_ns);
+
+  /// Runs the ladder for the planned `pids`, asking each redo source once
+  /// for the PSN lists of every page the cheap rungs leave. Unavailable
+  /// (blocked) when a source cannot be reached.
+  Status RunLadder(Node* node, const std::vector<PageId>& pids);
+
+  /// The last rung: archive image or PSN seed plus the merged redo of
+  /// `lists`, landed PSN-monotonically, or a poison verdict on a PSN gap.
+  Status Rebuild(Node* node, PageId pid, const PsnLists& lists,
+                 std::uint64_t t0_ns);
+
+  /// Lifts any poison verdict on `pid` once a complete image is durable.
+  static Status LiftPoison(Node* node, PageId pid);
+
+  /// Counts a rebuild blocked on a redo source and returns Unavailable.
+  static Status Blocked(Node* node, const Status& st);
+
   PoisonLedger ledger_;  ///< Durable "node.restore"; same format as poison.
   std::map<std::uint64_t, Plan> plans_;  ///< Packed PageId -> plan.
-  /// Stack of packed PageIds whose RestoreOne is on the current call
-  /// stack (nested conversations unwind LIFO, so push/pop suffices).
+  /// Stack of packed PageIds with a rebuild on the current call stack
+  /// (nested conversations unwind LIFO, so push/pop suffices).
   std::vector<std::uint64_t> in_restore_pids_;
   bool first_commit_pending_ = false;
   std::uint64_t epoch_start_ns_ = 0;

@@ -4,8 +4,7 @@
 
 namespace clog {
 
-std::vector<RecoveryRun> MergePsnLists(
-    const std::map<NodeId, std::vector<PsnListEntry>>& lists) {
+std::vector<RecoveryRun> MergePsnLists(const PsnLists& lists) {
   std::vector<RecoveryRun> merged;
   for (const auto& [node, entries] : lists) {
     for (const PsnListEntry& e : entries) {

@@ -26,10 +26,12 @@ struct RecoveryRun {
   friend bool operator==(const RecoveryRun&, const RecoveryRun&) = default;
 };
 
+/// One page's NodePSNLists, keyed by the node whose log they describe.
+using PsnLists = std::map<NodeId, std::vector<PsnListEntry>>;
+
 /// Merges per-node PSN lists into the ascending, same-node-coalesced
 /// schedule of Section 2.3.4 step 1.
-std::vector<RecoveryRun> MergePsnLists(
-    const std::map<NodeId, std::vector<PsnListEntry>>& lists);
+std::vector<RecoveryRun> MergePsnLists(const PsnLists& lists);
 
 }  // namespace clog
 

@@ -58,18 +58,22 @@ enum class TraceEventType : std::uint16_t {
   // a = PageId::Pack(), b = needed PSN (max u64 = permanent).
   kPagePoison = 23,
   // Media recovery summary for one restart. a = lost-page candidates,
-  // b = pages restored from archive images, c = pages poisoned.
+  // b = planned pages rebuilt before the node opened (0 with instant
+  // restore on), c = pages poisoned outside those rebuilds (whose verdicts
+  // show as PAGE_RESTORED with source 4).
   kMediaRecovery = 24,
-  // Instant restore: restart recovery deferred the media rebuild and the
-  // node opened for traffic with pages still restoring. a = pages planned,
-  // b = pages with at least one peer-cache candidate.
+  // Restart recovery planned the rebuild of pages it could not read (torn,
+  // or on a lost data device). a = pages planned, b = pages with at least
+  // one peer-cache candidate.
   kRestorePlan = 25,
-  // One restoring page finished rebuilding (on demand or by the sweeper).
+  // One planned page finished rebuilding (drained before the node opened,
+  // on demand, or by the sweeper).
   // a = PageId::Pack(), b = resulting psn, c = source (0 = already durable,
   // 1 = peer cache, 2 = archive + redo, 3 = seed + redo, 4 = poisoned).
   kPageRestored = 26,
   // The restore backlog drained: the node left degraded mode.
-  // a = pages restored this epoch, b = epoch duration ns.
+  // a = pages restored this epoch, b = epoch duration ns (from the drain's
+  // start, or from the node opening with plans pending).
   kRestoreDone = 27,
 };
 

@@ -121,7 +121,7 @@ std::string Args(const TraceEvent& e, const TraceFormatOptions& opts) {
       return buf;
     case TraceEventType::kMediaRecovery:
       std::snprintf(buf, sizeof(buf),
-                    "candidates=%" PRIu64 " from_archive=%" PRIu64
+                    "candidates=%" PRIu64 " drained=%" PRIu64
                     " poisoned=%u",
                     e.a, e.b, e.c);
       return buf;

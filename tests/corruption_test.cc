@@ -112,8 +112,9 @@ TEST_F(CorruptionTest, CorruptDiskPageRebuiltFromLogOnRestart) {
              static_cast<long>(pid.page_no) * kPageSize + 2048);
 
   // Restart recovery reads the page as a candidate, fails its checksum,
-  // and rebuilds it from the space-map PSN seed by replaying its full
-  // logged history — correct data, never silent garbage.
+  // plans its rebuild and, with instant restore off, drains the plan before
+  // the node opens: the space-map PSN seed plus its full logged history —
+  // correct data, never silent garbage.
   ASSERT_OK(cluster_->RestartNode(node_->id()));
   EXPECT_EQ(node_->metrics().CounterValue("recovery.pages_rebuilt_from_seed"),
             1u);
@@ -121,6 +122,39 @@ TEST_F(CorruptionTest, CorruptDiskPageRebuiltFromLogOnRestart) {
   ASSERT_OK_AND_ASSIGN(std::string v, node_->Read(check, rid));
   EXPECT_EQ(v, "data");
   ASSERT_OK(node_->Commit(check));
+}
+
+TEST(TornPageRestoreTest, InstantRestorePlansTornPageForFirstTouch) {
+  // With instant restore on, a torn page is planned like a page lost with
+  // the data device: the node opens with the rebuild pending, and the
+  // first read rebuilds it from the PSN seed and the full logged history.
+  TempDir dir;
+  ClusterOptions opts;
+  opts.dir = dir.path();
+  opts.node_defaults.instant_restore.enabled = true;
+  Cluster cluster(opts);
+  ASSERT_OK_AND_ASSIGN(Node* node, cluster.AddNode());
+  ASSERT_OK_AND_ASSIGN(PageId pid, node->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(TxnId txn, node->Begin());
+  ASSERT_OK_AND_ASSIGN(RecordId rid, node->Insert(txn, pid, "data"));
+  ASSERT_OK(node->Commit(txn));
+  ASSERT_OK(node->HandleFlushRequest(node->id(), pid));
+  ASSERT_OK(cluster.CrashNode(node->id()));
+  FlipByteAt(dir.path() + "/node0/node.db",
+             static_cast<long>(pid.page_no) * kPageSize + 2048);
+
+  ASSERT_OK(cluster.RestartNode(node->id()));
+  EXPECT_TRUE(node->IsRestoring(pid));
+  EXPECT_EQ(node->metrics().CounterValue("restore.pages_from_seed"), 0u);
+
+  ASSERT_OK_AND_ASSIGN(TxnId check, node->Begin());
+  ASSERT_OK_AND_ASSIGN(std::string v, node->Read(check, rid));
+  EXPECT_EQ(v, "data");
+  ASSERT_OK(node->Commit(check));
+  EXPECT_FALSE(node->IsRestoring(pid));
+  EXPECT_EQ(node->metrics().CounterValue("restore.pages_from_seed"), 1u);
+  EXPECT_TRUE(node->restore().LedgerEntries().empty());
+  EXPECT_FALSE(std::filesystem::exists(dir.path() + "/node0/node.restore"));
 }
 
 TEST_F(CorruptionTest, MissingMasterMeansFullScanNotFailure) {

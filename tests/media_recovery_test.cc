@@ -257,6 +257,79 @@ TEST_F(MediaRecoveryTest, RecoveryReentersWhenServingPeerCrashesMidFetch) {
   ASSERT_OK(a_->Commit(check));
 }
 
+/// Node 0 of a 3-node cluster loses a data device holding `pages` pages.
+/// Each page's history spans all three logs after the sealed archive pass,
+/// and no peer caches a copy at the crash, so every page is rebuilt from
+/// the archive plus redo from every log. With instant restore off the
+/// restart drains every plan before it returns. `requests` receives the
+/// BuildPsnList requests the restart sent.
+void LoseDeviceOfPages(int pages, std::uint64_t* requests) {
+  TempDir dir;
+  FaultInjector injector(/*seed=*/1);
+  ClusterOptions opts;
+  opts.dir = dir.path();
+  opts.fault_injector = &injector;
+  opts.node_defaults.logging_policy.WithArchive(true);
+  Cluster cluster(opts);
+  std::vector<Node*> nodes;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_OK_AND_ASSIGN(Node* n, cluster.AddNode());
+    nodes.push_back(n);
+  }
+  Node* owner = nodes[0];
+  std::vector<RecordId> rids;
+  for (int p = 0; p < pages; ++p) {
+    ASSERT_OK_AND_ASSIGN(PageId pid, owner->AllocatePage());
+    ASSERT_OK_AND_ASSIGN(TxnId txn, owner->Begin());
+    ASSERT_OK_AND_ASSIGN(RecordId rid, owner->Insert(txn, pid, "v0"));
+    ASSERT_OK(owner->Commit(txn));
+    rids.push_back(rid);
+  }
+  ASSERT_OK(owner->Checkpoint());  // Log mark + sealed archive pass.
+  // Nodes 1 and 2 update every page, then the owner does: its callbacks
+  // take the copies back, so no peer caches one at the crash.
+  for (Node* n : {nodes[1], nodes[2], owner}) {
+    for (RecordId rid : rids) {
+      ASSERT_OK_AND_ASSIGN(TxnId txn, n->Begin());
+      ASSERT_OK(n->Update(txn, rid, "v-" + std::to_string(n->id())));
+      ASSERT_OK(n->Commit(txn));
+    }
+  }
+
+  injector.ArmDeviceFault(owner->id(), DeviceFault::kDestroyDataFile);
+  ASSERT_OK(cluster.CrashNode(owner->id()));
+  const Metrics& wire = cluster.network().metrics();
+  const std::uint64_t before = wire.CounterValue("msg.build_psn_list");
+  ASSERT_OK(cluster.RestartNodes({owner->id()}));
+  *requests = wire.CounterValue("msg.build_psn_list") - before;
+
+  EXPECT_EQ(owner->RestorePendingCount(), 0u);
+  EXPECT_EQ(owner->metrics().CounterValue("restore.pages_planned"),
+            static_cast<std::uint64_t>(pages));
+  EXPECT_EQ(owner->metrics().CounterValue("restore.pages_from_archive"),
+            static_cast<std::uint64_t>(pages));
+  ASSERT_OK_AND_ASSIGN(TxnId check, owner->Begin());
+  for (RecordId rid : rids) {
+    EXPECT_FALSE(owner->IsPoisoned(rid.page));
+    ASSERT_OK_AND_ASSIGN(std::string v, owner->Read(check, rid));
+    EXPECT_EQ(v, "v-" + std::to_string(owner->id()));
+  }
+  ASSERT_OK(owner->Commit(check));
+}
+
+TEST(MediaRebuildDrainTest, PsnListRequestsDoNotGrowWithLostPages) {
+  // Before the node opens, the drain asks each redo source once for the
+  // full-history lists of every lost page, not once per page.
+  std::uint64_t four = 0;
+  std::uint64_t sixteen = 0;
+  LoseDeviceOfPages(4, &four);
+  if (HasFatalFailure()) return;
+  LoseDeviceOfPages(16, &sixteen);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(four, 2u);  // One per peer; the owner's own list is local.
+  EXPECT_EQ(sixteen, four);
+}
+
 /// PoisonLedger crash-boundary drills: every mutation is crash-atomic
 /// before it returns, so "crash immediately after the write, before the
 /// caller saw the verdict" — modeled by dropping the in-memory object and
