@@ -30,7 +30,7 @@ class BenchCluster {
     std::system(("rm -rf " + dir_).c_str());
     ClusterOptions options;
     options.dir = dir_;
-    options.logging_policy = policy;
+    options.node_defaults.logging_policy = policy;
     options.node_defaults.logging_mode = mode;
     options.node_defaults.buffer_frames = buffer_frames;
     options.node_defaults.log_capacity_bytes = log_capacity;

@@ -93,7 +93,7 @@ GroupRow MeasureGroupCommit(bool enabled) {
   ClusterOptions options;
   options.dir = dir;
   if (enabled) {
-    options.logging_policy =
+    options.node_defaults.logging_policy =
         LoggingPolicy().WithGroupCommitWindow(2'000'000, 4);
   }
   Cluster cluster(options);

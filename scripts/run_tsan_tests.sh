@@ -10,8 +10,8 @@
 # trace sink, log manager) — followed by the `restore`-labelled suite,
 # whose real-mode half runs background restore sweeper threads against
 # foreground first-touch rebuilds — and the `wal`-labelled suite, which
-# hammers the WAL append path (appends serialized by the log mutex,
-# flush I/O outside it) with multi-producer append/flush/abandon storms.
+# hammers the WAL (appends, forces and reads all serialized by the log
+# mutex) with multi-producer append/flush/abandon storms.
 #
 # Usage: scripts/run_tsan_tests.sh [--build-dir=DIR] [--repeat=N]
 #   --repeat=N  run the suite N times (default 3): scheduler-dependent
@@ -67,8 +67,8 @@ echo "== ctest -L elastic under TSan"
 ctest --test-dir "$BUILD_DIR" -L elastic -R handoff_test --output-on-failure
 
 # WAL suite: several producers append to one log while a flusher forces
-# the tail with the log mutex released for the I/O, and a crash abandons
-# the log under both. TSan must see every append/flush/abandon
+# the tail and a scanner reads it, all under the log mutex, and a crash
+# abandons the log under them. TSan must see every append/flush/abandon
 # interleaving it can provoke.
 for i in $(seq 1 "$REPEAT"); do
   echo "== ctest -L wal under TSan (pass $i/$REPEAT)"

@@ -58,14 +58,6 @@ Result<Node*> Cluster::AddNode(std::optional<NodeOptions> overrides) {
   if (opts.fault_injector == nullptr) {
     opts.fault_injector = options_.fault_injector;
   }
-  // Unified-policy inheritance: a node override that customized nothing
-  // takes the cluster policy wholesale.
-  if (opts.logging_policy.strategy == LogStrategy::kPhysical &&
-      opts.logging_policy.redo_workers == 0 &&
-      !opts.logging_policy.group_commit.enabled &&
-      !opts.logging_policy.archive.enabled) {
-    opts.logging_policy = options_.logging_policy;
-  }
   if (opts.trace_sink == nullptr) {
     opts.trace_sink = options_.trace_sink;
   }
@@ -221,7 +213,7 @@ Status Cluster::RestartNodes(const std::vector<NodeId>& ids) {
   for (Entry& e : entries) {
     if (e.abandoned) continue;
     RestartRecovery::Stats stats = e.rec->stats();
-    if (stats.sim_ns == 0) stats.sim_ns = elapsed;
+    stats.sim_ns = elapsed;
     recovery_stats_[e.id] = stats;
   }
 

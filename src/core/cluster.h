@@ -54,11 +54,6 @@ struct ClusterOptions {
   /// failure detector, and request parking. Disabled by default so
   /// fail-fast crash semantics stay exactly as before unless opted in.
   RetryPolicy retry_policy;
-  /// Unified logging policy applied to every node (unless a node's AddNode
-  /// override already set its own). Strategy selection, group commit,
-  /// archiving, and redo parallelism in one value; see
-  /// node/options.h. Defaults preserve the classic behavior exactly.
-  LoggingPolicy logging_policy;
   /// Optional structured-event trace sink (not owned; must outlive the
   /// cluster). The cluster binds its SimClock to the sink and wires it
   /// into the network and every node; see docs/observability.md. nullptr

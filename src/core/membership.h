@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.h"
 
@@ -66,22 +65,6 @@ class OwnershipDirectory {
   void BumpEpoch() {
     std::lock_guard<std::mutex> g(mu_);
     ++epoch_;
-  }
-
-  /// Every page whose current owner is not its home node.
-  std::vector<std::pair<PageId, NodeId>> Moved() const {
-    std::lock_guard<std::mutex> g(mu_);
-    std::vector<std::pair<PageId, NodeId>> out;
-    out.reserve(moved_.size());
-    for (const auto& [packed, node] : moved_) {
-      out.emplace_back(PageId::Unpack(packed), node);
-    }
-    return out;
-  }
-
-  std::size_t MovedCount() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return moved_.size();
   }
 
  private:

@@ -44,10 +44,6 @@ void FaultInjector::BlockLink(NodeId a, NodeId b) {
   blocked_links_.insert(NormalizedLink(a, b));
 }
 
-void FaultInjector::HealLink(NodeId a, NodeId b) {
-  blocked_links_.erase(NormalizedLink(a, b));
-}
-
 void FaultInjector::HealAllLinks() { blocked_links_.clear(); }
 
 void FaultInjector::ArmIoFault(NodeId node, IoFault fault) {

@@ -112,7 +112,6 @@ class FaultInjector {
   // --- Partitions (explicit state set by the harness) -------------------
 
   void BlockLink(NodeId a, NodeId b);
-  void HealLink(NodeId a, NodeId b);
   void HealAllLinks();
   bool AnyLinkBlocked() const { return !blocked_links_.empty(); }
 
@@ -165,7 +164,6 @@ class FaultInjector {
   /// Nodes on which a one-shot I/O fault has fired since the last call;
   /// clears the set. The harness crashes these (fail-stop on I/O error).
   std::vector<NodeId> TakeFiredNodes();
-  bool HasFiredNodes() const { return !fired_nodes_.empty(); }
 
   // --- Counters (observability / reports) -------------------------------
 

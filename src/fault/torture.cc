@@ -305,7 +305,7 @@ class TortureRun {
     copts.retry_policy.enabled = true;
     copts.retry_policy.jitter_seed = options_.seed ^ 0xC10CBEEFull;
     if (options_.group_commit) {
-      copts.logging_policy.WithGroupCommitWindow(2'000'000, 4);
+      copts.node_defaults.logging_policy.WithGroupCommitWindow(2'000'000, 4);
       Event("group-commit on");
     }
     if (options_.adaptive) {
@@ -314,7 +314,7 @@ class TortureRun {
       // scheduler handles every self-only page during restarts. Two
       // workers keep the real-mode pool path honest; the simulation
       // replays the chains sequentially either way.
-      copts.logging_policy.WithStrategy(LogStrategy::kAdaptive)
+      copts.node_defaults.logging_policy.WithStrategy(LogStrategy::kAdaptive)
           .WithRedoWorkers(2);
       Event("adaptive on");
     }

@@ -69,9 +69,6 @@ class LockCache {
   /// Page-granularity mode `txn` holds on `pid`.
   LockMode TxnMode(TxnId txn, PageId pid) const;
 
-  /// Record-granularity mode `txn` holds on `pid`/`slot`.
-  LockMode TxnRecordMode(TxnId txn, PageId pid, SlotId slot) const;
-
   /// Releases every lock `txn` holds (transaction end, commit or abort).
   /// Node-level cached locks are retained (strict 2PL releases transaction
   /// locks; inter-transaction caching keeps the node locks).

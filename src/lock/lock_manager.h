@@ -69,8 +69,6 @@ class GlobalLockTable {
   /// Drops the whole table (node crash loses volatile state).
   void Clear();
 
-  std::size_t PageCount() const { return table_.size(); }
-
   /// Attaches a trace sink emitting LOCK_WAIT events as owner `node`
   /// whenever TryGrant reports a conflict (nullptr detaches). Not owned.
   void set_trace_sink(TraceSink* trace, NodeId node) {

@@ -13,9 +13,6 @@ thread_local void* t_home = nullptr;
 
 }  // namespace
 
-ThreadPerNodeExecutor::ThreadPerNodeExecutor(std::size_t mailbox_capacity)
-    : capacity_(mailbox_capacity == 0 ? 1 : mailbox_capacity) {}
-
 ThreadPerNodeExecutor::~ThreadPerNodeExecutor() { StopAll(); }
 
 ThreadPerNodeExecutor::Worker* ThreadPerNodeExecutor::FindWorker(NodeId id) {
@@ -171,7 +168,7 @@ bool ThreadPerNodeExecutor::Run(NodeId id, const Task& fn) {
       return true;
     }
     w->not_full.wait(lk, [&] {
-      return w->stopping || !w->running || w->mailbox.size() < capacity_;
+      return w->stopping || !w->running || w->mailbox.size() < kMailboxCapacity;
     });
     if (w->stopping || !w->running) return false;
     w->mailbox.push_back(&call);

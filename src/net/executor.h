@@ -104,10 +104,8 @@ class InlineExecutor final : public Executor {
 /// call completes (the RPC surface is synchronous request/reply).
 class ThreadPerNodeExecutor final : public Executor {
  public:
-  static constexpr std::size_t kDefaultMailboxCapacity = 1024;
+  static constexpr std::size_t kMailboxCapacity = 1024;
 
-  explicit ThreadPerNodeExecutor(
-      std::size_t mailbox_capacity = kDefaultMailboxCapacity);
   ~ThreadPerNodeExecutor() override;
 
   bool real_threads() const override { return true; }
@@ -163,7 +161,6 @@ class ThreadPerNodeExecutor final : public Executor {
   static void Execute(Call* c);
   static void FinishCall(Call* c, bool rejected);
 
-  const std::size_t capacity_;
   std::mutex registry_mu_;
   std::map<NodeId, std::unique_ptr<Worker>> workers_;
 };

@@ -22,6 +22,8 @@ std::string_view MsgTypeName(MsgType t) {
       return "flush_request";
     case MsgType::kLogShip:
       return "log_ship";
+    case MsgType::kLogShipReply:
+      return "log_ship_reply";
     case MsgType::kRecoveryQuery:
       return "recovery_query";
     case MsgType::kRecoveryQueryReply:
@@ -38,8 +40,6 @@ std::string_view MsgTypeName(MsgType t) {
       return "recover_page";
     case MsgType::kRecoverPageReply:
       return "recover_page_reply";
-    case MsgType::kDptShip:
-      return "dpt_ship";
     case MsgType::kNodeRecovered:
       return "node_recovered";
     case MsgType::kLogLossNotice:

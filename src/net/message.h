@@ -36,6 +36,7 @@ enum class MsgType : std::uint8_t {
   kFlushNotify,       ///< Owner -> replacers: page now on disk (Section 2.5).
   kFlushRequest,      ///< Any -> owner: please force page (Section 2.5).
   kLogShip,           ///< Baseline B1 only: client log records -> owner.
+  kLogShipReply,      ///< Owner -> client: a commit-time ship is forced.
 
   // Crash recovery (Sections 2.3 and 2.4).
   kRecoveryQuery,       ///< Restarting node -> peer: caches/DPT/lock lists.
@@ -46,7 +47,6 @@ enum class MsgType : std::uint8_t {
   kBuildPsnListReply,   ///< Peer -> restarting node: NodePSNList.
   kRecoverPage,         ///< Coordinator -> peer: apply your redo up to PSN.
   kRecoverPageReply,    ///< Peer -> coordinator: page after redo.
-  kDptShip,             ///< Multi-crash: DPT entries for pages you own.
   kNodeRecovered,       ///< Broadcast: node back online.
   kLogLossNotice,       ///< Restarting node -> owner: my log was destroyed;
                         ///< these pages of yours held updates only I logged.

@@ -360,6 +360,8 @@ Status Network::LogShip(NodeId from, NodeId to,
   Status st;
   CLOG_RETURN_IF_ERROR(
       Deliver(to, [&] { st = svc->HandleLogShip(from, records, force); }));
+  // A commit-time ship waits for the owner's force: a round trip.
+  if (force) Charge(MsgType::kLogShipReply, 0, from, to);
   RecordRtt(t0);
   return st;
 }
@@ -422,19 +424,6 @@ Status Network::RecoverPage(NodeId from, NodeId to, PageId pid,
                                 reply);
   }));
   Charge(MsgType::kRecoverPageReply, reply->page ? kPageSize : 0, from, to);
-  RecordRtt(t0);
-  return st;
-}
-
-Status Network::DptShip(NodeId from, NodeId to,
-                        const std::vector<DptEntry>& entries,
-                        const std::vector<PageId>& cached_pages) {
-  const std::uint64_t t0 = Now();
-  CLOG_ASSIGN_OR_RETURN(NodeService * svc, AdmitWithRetry(from, to));
-  Charge(MsgType::kDptShip, entries.size() * 32 + cached_pages.size() * 8, from, to);
-  Status st;
-  CLOG_RETURN_IF_ERROR(
-      Deliver(to, [&] { st = svc->HandleDptShip(from, entries, cached_pages); }));
   RecordRtt(t0);
   return st;
 }

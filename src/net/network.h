@@ -111,12 +111,6 @@ class NodeService {
                                    const Page& page_in, bool has_bound,
                                    Psn bound, RecoverPageReply* reply) = 0;
 
-  /// Owner-side (multi-crash, Section 2.4): a recovering peer ships the DPT
-  /// entries it rebuilt for pages I own, plus which of my pages it caches.
-  virtual Status HandleDptShip(NodeId from,
-                               const std::vector<DptEntry>& entries,
-                               const std::vector<PageId>& cached_pages) = 0;
-
   /// Any-side: `who` finished restart recovery and is operational again.
   virtual void HandleNodeRecovered(NodeId who) = 0;
 
@@ -243,8 +237,6 @@ class Network {
                       bool full_history, PsnListReply* reply);
   Status RecoverPage(NodeId from, NodeId to, PageId pid, const Page& page_in,
                      bool has_bound, Psn bound, RecoverPageReply* reply);
-  Status DptShip(NodeId from, NodeId to, const std::vector<DptEntry>& entries,
-                 const std::vector<PageId>& cached_pages);
   Status NodeRecovered(NodeId from, NodeId to, NodeId who);
   Status LogLossNotice(NodeId from, NodeId to,
                        const std::vector<PageId>& pages);

@@ -105,20 +105,6 @@ std::vector<PageId> HandoffLedger::InflightPages() const {
   return out;
 }
 
-NodeId HandoffLedger::CededTarget(PageId pid) const {
-  auto it = ceded_.find(pid.Pack());
-  return it == ceded_.end() ? kInvalidNodeId : it->second;
-}
-
-std::vector<PageId> HandoffLedger::CededPages() const {
-  std::vector<PageId> out;
-  out.reserve(ceded_.size());
-  for (const auto& [packed, target] : ceded_) {
-    out.push_back(PageId::Unpack(packed));
-  }
-  return out;
-}
-
 Status HandoffLedger::RecordAdopted(PageId pid, const Page& image,
                                     Psn seed_psn) {
   Page sealed;

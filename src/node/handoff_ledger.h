@@ -86,8 +86,6 @@ class HandoffLedger {
   std::vector<PageId> InflightPages() const;
 
   bool IsCeded(PageId pid) const { return ceded_.contains(pid.Pack()); }
-  NodeId CededTarget(PageId pid) const;
-  std::vector<PageId> CededPages() const;
 
   // --- Inbound (new-owner side) ----------------------------------------
 

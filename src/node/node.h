@@ -268,8 +268,6 @@ class Node : public NodeService {
   Status HandleRecoverPage(NodeId from, PageId pid, const Page& page_in,
                            bool has_bound, Psn bound,
                            RecoverPageReply* reply) override;
-  Status HandleDptShip(NodeId from, const std::vector<DptEntry>& entries,
-                       const std::vector<PageId>& cached_pages) override;
   void HandleNodeRecovered(NodeId who) override;
   Status HandleLogLossNotice(NodeId from,
                              const std::vector<PageId>& pages) override;
@@ -577,8 +575,8 @@ class Node : public NodeService {
   std::atomic<NodeState> state_{NodeState::kDown};
 
   /// Joint-restart sub-phase (Section 2.4): true once this node's redo pass
-  /// (ExchangeAndRecover) has completed, at which point the recovery fences
-  /// on its own pages may be yielded to peers' undo passes.
+  /// (RedoPages) has completed, at which point the recovery fences on its
+  /// own pages may be yielded to peers' undo passes.
   bool recovery_redo_done_ = false;
 
   DiskManager disk_;
@@ -664,12 +662,6 @@ class Node : public NodeService {
   /// in the log, so their records are a provably-volatile PSN tail.
   /// Computed by HandleBuildPsnList, consulted by HandleRecoverPage.
   std::set<TxnId> recovery_skip_txns_;
-
-  /// Multi-crash staging (Section 2.4): DPT entries / cached-page lists
-  /// shipped by recovering peers for pages this node owns, with senders.
-  std::map<PageId, std::vector<std::pair<NodeId, DptEntry>>>
-      foreign_dpt_entries_;
-  std::map<PageId, std::set<NodeId>> foreign_cached_;
 
   /// Availability layer: owners known to be mid-recovery, with the
   /// simulated time each was parked. Requests to a parked owner return

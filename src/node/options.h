@@ -175,7 +175,8 @@ struct NodeOptions {
   /// into this node's DiskManager and LogManager on open. nullptr = off.
   FaultInjector* fault_injector = nullptr;
   /// The unified logging policy (strategy, group commit, archiving,
-  /// redo parallelism).
+  /// redo parallelism). A cluster-wide policy is set on
+  /// ClusterOptions::node_defaults.
   LoggingPolicy logging_policy;
   /// When planned lost-page rebuilds run: at first touch while the node
   /// serves traffic, or (the default) all before the node opens.

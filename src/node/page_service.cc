@@ -694,20 +694,6 @@ Status Node::LandRebuiltPage(PageId pid, const Page& image,
   return Status::OK();
 }
 
-Status Node::HandleDptShip(NodeId from, const std::vector<DptEntry>& entries,
-                           const std::vector<PageId>& cached_pages) {
-  if (state_ == NodeState::kDown) return Status::NodeDown("owner down");
-  for (const DptEntry& e : entries) {
-    if (!OwnsPage(e.pid)) continue;
-    foreign_dpt_entries_[e.pid].emplace_back(from, e);
-  }
-  for (PageId pid : cached_pages) {
-    if (!OwnsPage(pid)) continue;
-    foreign_cached_[pid].insert(from);
-  }
-  return Status::OK();
-}
-
 void Node::HandleNodeRecovered(NodeId who) {
   metrics_.GetCounter("recovery.peer_recovered_notices").Add(1);
   // Resume parked traffic: requests for `who` stopped at the door with

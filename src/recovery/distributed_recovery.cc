@@ -9,15 +9,6 @@
 
 namespace clog {
 
-Status RestartRecovery::Run() {
-  std::uint64_t t0 = node_->network()->clock()->NowNanos();
-  CLOG_RETURN_IF_ERROR(OpenAndAnalyze());
-  CLOG_RETURN_IF_ERROR(ExchangeAndRecover());
-  CLOG_RETURN_IF_ERROR(UndoLosersAndFinish());
-  stats_.sim_ns = node_->network()->clock()->NowNanos() - t0;
-  return Status::OK();
-}
-
 void RestartRecovery::FinishPhase(std::uint32_t phase, const char* hist_name,
                                   std::uint64_t start_ns) {
   const std::uint64_t dur =
@@ -109,10 +100,12 @@ Status RestartRecovery::ReconstructLocks() {
 Status RestartRecovery::RecoverOwnPages() {
   NodeId me = node_->id_;
 
-  // Candidates: every page of ours with a DPT entry anywhere —
-  // our rebuilt superset, the peers' replies, and any Section 2.4 staged
-  // shipments (Section 2.3.1: the basic ARIES DPT alone is not enough
-  // because remote-only updates leave no local log records).
+  // Candidates: every page of ours with a DPT entry anywhere — our
+  // rebuilt superset and the peers' replies (Section 2.3.1: the basic
+  // ARIES DPT alone is not enough because remote-only updates leave no
+  // local log records). A peer restarting in the same round answers the
+  // query from the superset its analysis rebuilt, which is how Section
+  // 2.4 gets those entries to their owner.
   std::map<PageId, std::map<NodeId, DptEntry>> contributors;
   // Ownership routes through the directory: adopted pages are ours to
   // coordinate, home pages ceded away are not.
@@ -125,10 +118,6 @@ Status RestartRecovery::RecoverOwnPages() {
       contributors[e.pid][peer] = e;
     }
   }
-  for (const auto& [pid, entries] : node_->foreign_dpt_entries_) {
-    for (const auto& [sender, e] : entries) contributors[pid][sender] = e;
-  }
-  node_->foreign_dpt_entries_.clear();
 
   std::map<PageId, std::vector<NodeId>> cached_at;
   for (const auto& [peer, reply] : peer_replies_) {
@@ -136,10 +125,6 @@ Status RestartRecovery::RecoverOwnPages() {
       cached_at[pid].push_back(peer);
     }
   }
-  for (const auto& [pid, holders] : node_->foreign_cached_) {
-    for (NodeId h : holders) cached_at[pid].push_back(h);
-  }
-  node_->foreign_cached_.clear();
 
   if (log_lost_) {
     // Our log is gone: the DPT-driven redo below has nothing to stand on.
@@ -566,11 +551,6 @@ Status RestartRecovery::RecoverRemotePages() {
     node_->metrics_.GetCounter("recovery.remote_pages_recovered").Add(1);
   }
   return Status::OK();
-}
-
-Status RestartRecovery::ExchangeAndRecover() {
-  CLOG_RETURN_IF_ERROR(ExchangePeerState());
-  return RedoPages();
 }
 
 Status RestartRecovery::ExchangePeerState() {

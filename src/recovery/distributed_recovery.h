@@ -53,7 +53,7 @@ class RestartRecovery {
     std::uint64_t redo_applied = 0;        ///< Redo records applied, total.
     std::uint64_t losers_undone = 0;
     std::uint64_t clean_candidates = 0;    ///< Candidates already on disk.
-    std::uint64_t sim_ns = 0;              ///< Simulated time consumed.
+    std::uint64_t sim_ns = 0;              ///< Simulated time of the round.
     // --- Adaptive logging / dependency-parallel redo ---
     std::uint64_t logical_losers_skipped = 0;  ///< Pure-logical: END only.
     std::uint64_t redo_chains = 0;         ///< Independent chains scheduled.
@@ -69,21 +69,15 @@ class RestartRecovery {
 
   explicit RestartRecovery(Node* node) : node_(node) {}
 
-  /// Full single-node restart: all three phases in order.
-  Status Run();
-
-  // --- Staged interface for multi-crash orchestration (Section 2.4) ---
+  // --- Phases, run by Cluster::RestartNodes across the whole crashed set
+  // (Section 2.4) ---
 
   /// Phase A: reopen storage, run local analysis, install the rebuilt DPT,
   /// and become reachable for recovery RPCs (state kRecovering).
   Status OpenAndAnalyze();
 
-  /// Phase B: query peers, reconstruct locks, determine pages, coordinate
-  /// redo. Requires every other crashed node to have finished phase A.
-  /// Equivalent to ExchangePeerState + RedoPages.
-  Status ExchangeAndRecover();
-
   /// Phase B1: query peers and reconstruct lock state (2.3.1/2.3.3).
+  /// Requires every other crashed node to have finished phase A.
   Status ExchangePeerState();
 
   /// Phase B2: determine and redo the pages needing recovery (2.3.4).

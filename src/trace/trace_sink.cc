@@ -37,8 +37,11 @@ std::uint64_t MixEvent(std::uint64_t h, const TraceEvent& e) {
 //   u32 version, u64 capacity_per_node, u32 node_count
 //   per node: u32 node, u64 emitted, u64 hash, u64 retained,
 //             retained * { u64 time_ns, seq, a, b; u32 c, node, type }
+// The version also covers the numbering of the MsgType values that RPC
+// events carry in `c`: a file from a build that numbered them differently
+// is refused, not mislabelled.
 constexpr std::uint32_t kTraceMagic = 0x52544C43u;  // "CLTR"
-constexpr std::uint32_t kTraceVersion = 2;
+constexpr std::uint32_t kTraceVersion = 3;
 constexpr std::size_t kEventBytes = 4 * 8 + 3 * 4;
 
 }  // namespace

@@ -70,7 +70,7 @@ class TraceSink {
   }
 
   /// Binary trace file I/O, for `tools/tracedump`: a checksummed record
-  /// file (common/fsutil.h) of little-endian, fixed-width fields, version 2
+  /// file (common/fsutil.h) of little-endian, fixed-width fields, version 3
   /// (docs/observability.md). A damaged or malformed file reads as
   /// Corruption and leaves the sink unchanged.
   Status WriteBinaryFile(const std::string& path) const;

@@ -58,8 +58,6 @@ Status LogManager::Open(const std::string& path) {
     flushed_lsn_ = size;
     buffer_start_ = size;
     buffer_.clear();
-    flushing_chunk_.clear();
-    flushing_start_ = size;
     reclaimable_lsn_ = kHeaderSize;
     open_.store(true, std::memory_order_release);
   }
@@ -105,7 +103,6 @@ Status LogManager::RecoverTail() {
   end_lsn_ = end;
   flushed_lsn_ = end;
   buffer_start_ = end;
-  flushing_start_ = end;
   if (::ftruncate(fd_, static_cast<off_t>(end)) != 0) {
     return Status::IOError(Errno("ftruncate torn log tail"));
   }
@@ -113,10 +110,9 @@ Status LogManager::RecoverTail() {
 }
 
 Status LogManager::Close() {
-  std::lock_guard<std::mutex> io_lk(flush_mu_);
-  std::unique_lock<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   if (fd_ < 0) return Status::OK();
-  Status st = FlushLocked(end_lsn_.load(std::memory_order_acquire), lk);
+  Status st = FlushLocked(end_lsn_.load(std::memory_order_acquire));
   open_.store(false, std::memory_order_release);
   ::close(fd_);
   fd_ = -1;
@@ -127,9 +123,8 @@ void LogManager::Abandon() {
   // Crash semantics: stop accepting work first, so producers racing the
   // crash fail cleanly instead of appending to a dying tail.
   open_.store(false, std::memory_order_release);
-  // flush_mu_ before mu_ (the lock order): an in-flight flush I/O section
-  // must finish before the fd goes away beneath it.
-  std::lock_guard<std::mutex> io_lk(flush_mu_);
+  // A running force holds mu_ until its sync returns, so the fd cannot go
+  // away beneath it.
   std::lock_guard<std::mutex> lk(mu_);
   if (fd_ < 0) return;
   if (fault_ != nullptr && !buffer_.empty()) {
@@ -193,17 +188,14 @@ Status LogManager::Append(const LogRecord& rec, Lsn* lsn,
 }
 
 Status LogManager::Flush(Lsn up_to) {
-  std::lock_guard<std::mutex> io_lk(flush_mu_);
-  std::unique_lock<std::mutex> lk(mu_);
-  return FlushLocked(up_to, lk);
+  std::lock_guard<std::mutex> lk(mu_);
+  return FlushLocked(up_to);
 }
 
-Status LogManager::FlushLocked(Lsn up_to, std::unique_lock<std::mutex>& lk) {
+Status LogManager::FlushLocked(Lsn up_to) {
   if (fd_ < 0) return Status::FailedPrecondition("log not open");
   // flushed_lsn_ is the end of the durable prefix: a record is durable iff
-  // its start LSN lies strictly before it. (A flush that waited on
-  // flush_mu_ behind one that covered its up_to is absorbed here — group
-  // commit.)
+  // its start LSN lies strictly before it.
   if (up_to < flushed_lsn_.load(std::memory_order_acquire)) {
     return Status::OK();
   }
@@ -216,42 +208,18 @@ Status LogManager::FlushLocked(Lsn up_to, std::unique_lock<std::mutex>& lk) {
     // survivable in place).
     return Status::IOError("fault injection: log force failed");
   }
-  // Steal the buffered prefix (O(1) swap — copying megabytes under mu_
-  // would stall every producer) and release the tail lock for the I/O:
-  // producers keep appending into the emptied buffer_ while the disk syncs.
-  // flush_mu_ (held by the caller) keeps concurrent flush I/O serial, so
-  // flushed_lsn_ only ever advances over a fully durable prefix; fd_ is
-  // stable because teardown (Close and Abandon) also takes flush_mu_
-  // before closing it. While the chunk is in flight its bytes live in
-  // neither buffer_ nor the durable file — ReadBlock serves them from
-  // flushing_chunk_.
-  std::swap(flushing_chunk_, buffer_);
-  buffer_.clear();
-  flushing_start_ = buffer_start_;
-  const std::size_t n = flushing_chunk_.size();
-  const Lsn write_start = flushing_start_;
-  buffer_start_ = write_start + n;
-  const int fd = fd_;
-  lk.unlock();
-  Status io = Status::OK();
-  if (::pwrite(fd, flushing_chunk_.data(), n,
-               static_cast<off_t>(write_start)) != static_cast<ssize_t>(n)) {
-    io = Status::IOError(Errno("pwrite log"));
-  } else if (::fdatasync(fd) != 0) {
-    io = Status::IOError(Errno("fdatasync log"));
+  // The buffer gives up its bytes only once they are written and synced:
+  // after a failed write or sync they are still the tail, and a retry
+  // writes them again at the same offset.
+  const std::size_t n = buffer_.size();
+  if (::pwrite(fd_, buffer_.data(), n, static_cast<off_t>(buffer_start_)) !=
+      static_cast<ssize_t>(n)) {
+    return Status::IOError(Errno("pwrite log"));
   }
-  lk.lock();
-  if (!io.ok()) {
-    // Put the unwritten chunk back in front of whatever was appended
-    // meanwhile; a later retry is sound.
-    flushing_chunk_.append(buffer_);
-    std::swap(buffer_, flushing_chunk_);
-    flushing_chunk_.clear();
-    buffer_start_ = flushing_start_;
-    return io;
-  }
-  flushing_chunk_.clear();  // Keeps its capacity for the next flush.
-  const Lsn written_end = write_start + n;
+  if (::fdatasync(fd_) != 0) return Status::IOError(Errno("fdatasync log"));
+  const Lsn written_end = buffer_start_ + n;
+  buffer_start_ = written_end;
+  buffer_.clear();  // Keeps its capacity for the next appends.
   if (trace_ != nullptr) {
     trace_->Emit(trace_node_, TraceEventType::kLogForce, written_end, n);
   }
@@ -279,38 +247,23 @@ Status LogManager::ReadBlock(Lsn lsn, std::size_t need, std::size_t want,
   block->clear();
   std::lock_guard<std::mutex> lk(mu_);
   if (fd_ < 0) return Status::FailedPrecondition("log not open");
-  // The log's bytes live in three parts, oldest first: the durable file,
-  // the chunk an in-flight Flush is writing, and the tail buffer.
-  const std::string* mem = nullptr;
-  Lsn mem_start = kNullLsn;
+  // The log's bytes live in two parts: the durable file before
+  // buffer_start_ and the tail buffer from it on.
   if (lsn >= buffer_start_) {
-    mem = &buffer_;
-    mem_start = buffer_start_;
-  } else if (!flushing_chunk_.empty() && lsn >= flushing_start_) {
-    // Read-only access races nothing: the flusher mutates the chunk only
-    // under mu_.
-    mem = &flushing_chunk_;
-    mem_start = flushing_start_;
-  }
-  if (mem != nullptr) {
-    const std::size_t off = static_cast<std::size_t>(lsn - mem_start);
-    if (off + need > mem->size()) {
+    const std::size_t off = static_cast<std::size_t>(lsn - buffer_start_);
+    if (off + need > buffer_.size()) {
       return Status::Corruption("log frame at lsn " + std::to_string(lsn) +
                                 " runs past the buffered tail");
     }
-    block->assign(mem->data() + off, std::min(want, mem->size() - off));
+    block->assign(buffer_.data() + off, std::min(want, buffer_.size() - off));
     return Status::OK();
   }
-  // Only bytes a finished flush wrote: the in-flight chunk's file range
-  // may be half written.
-  const Lsn durable_end =
-      flushing_chunk_.empty() ? buffer_start_ : flushing_start_;
-  if (lsn + need > durable_end) {
+  if (lsn + need > buffer_start_) {
     return Status::Corruption("log frame at lsn " + std::to_string(lsn) +
                               " runs past the durable log");
   }
   const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(want, durable_end - lsn));
+      std::min<std::uint64_t>(want, buffer_start_ - lsn));
   block->resize(n);
   reads_.fetch_add(1, std::memory_order_relaxed);
   const ssize_t got =

@@ -39,24 +39,26 @@ class TraceSink;
 /// append-only; reclaimed prefixes simply stop counting against capacity,
 /// which preserves the paper-visible behaviour without wraparound framing.
 ///
-/// Thread safety: Append encodes the record straight into the tail buffer
-/// under the log mutex and assigns its LSN in the same critical section,
-/// so the capacity check is exact and the bytes on disk are the same
-/// whichever thread appends. In real mode every append to a node's log
-/// runs under that node's run token (net/executor.h), so the mutex is
-/// uncontended there too; it still makes any number of concurrent
-/// producers and flushers safe. Flush writes and syncs with the mutex
-/// released, so appends continue during the force. Readers take the mutex
-/// once per block they fill (LogCursor) or per record (ReadRecord), so
-/// scans run alongside appends and flushes. The LSN watermarks
-/// (`end_lsn`, `flushed_lsn`) and `is_open()` are atomics for lock-free
-/// readers.
+/// Thread safety: one mutex guards the tail and the file. Append encodes
+/// the record straight into the tail buffer under it and assigns its LSN
+/// in the same critical section, so the capacity check is exact and the
+/// bytes on disk are the same whichever thread appends. Flush holds it
+/// across the write and the sync, and the tail buffer keeps the forced
+/// bytes until both succeed, so a failed force leaves the log as it was
+/// and a retry writes the same bytes at the same offset. In real mode
+/// every append, force and read of a node's log runs under that node's run
+/// token (net/executor.h), so the mutex is uncontended there; concurrent
+/// producers, flushers and readers stay safe, and simply take turns.
+/// Readers take the mutex once per block they fill (LogCursor) or per
+/// record (ReadRecord). The LSN watermarks (`end_lsn`, `flushed_lsn`) and
+/// `is_open()` are atomics for lock-free readers.
 ///
 /// Orderly lifecycle methods (Open/Close) must not run concurrently with
 /// appends — callers quiesce producers first, exactly as a process
 /// shutdown does. Abandon is the exception by design: it is the crash,
-/// and may race live producers and flushers — they observe the closed log
-/// and fail cleanly.
+/// and may race live producers and flushers — it waits for a running
+/// force to finish, and the others observe the closed log and fail
+/// cleanly.
 class LogManager {
  public:
   LogManager();
@@ -212,27 +214,18 @@ class LogManager {
   /// LogCursor's only source of bytes. Replaces `*block` with the log bytes
   /// from `lsn` on: `want` of them, or fewer where the part of the log
   /// holding `lsn` ends, but never fewer than `need` (else Corruption,
-  /// before anything is allocated). Durable bytes come from one pread;
-  /// bytes of the unflushed tail or of an in-flight flush chunk from one
-  /// copy under mu_. Frames never straddle those parts, because Flush
-  /// moves whole frames.
+  /// before anything is allocated). Durable bytes come from one pread,
+  /// bytes of the unflushed tail from one copy under mu_. Frames never
+  /// straddle the two, because Flush moves whole frames.
   Status ReadBlock(Lsn lsn, std::size_t need, std::size_t want,
                    std::string* block);
 
-  /// Flush body; caller holds flush_mu_ and mu_ (via `lk`). The
-  /// write+fsync itself runs with mu_ RELEASED, so producers keep
-  /// appending while the disk syncs; flush_mu_ keeps the I/O sections
-  /// serial so flushed_lsn_ only ever advances over a fully durable
-  /// prefix.
-  Status FlushLocked(Lsn up_to, std::unique_lock<std::mutex>& lk);
-
-  /// Serializes flush I/O sections (and fd teardown against them).
-  /// Lock order: flush_mu_ before mu_, always.
-  std::mutex flush_mu_;
+  /// Flush body; caller holds mu_.
+  Status FlushLocked(Lsn up_to);
 
   /// Guards fd_, buffer_, buffer_start_ — the tail — and the advance of
-  /// end_lsn_. Never held across a write or a sync; ReadBlock holds it
-  /// across one pread, so Abandon cannot close the fd beneath the read.
+  /// end_lsn_. Held across a force's write and sync and across ReadBlock's
+  /// pread, so Abandon cannot close the fd beneath either.
   mutable std::mutex mu_;
 
   std::string path_;
@@ -243,13 +236,6 @@ class LogManager {
   std::atomic<Lsn> flushed_lsn_{0};  ///< All records < this are durable.
   Lsn buffer_start_ = kHeaderSize;   ///< LSN of first byte in `buffer_`.
   std::string buffer_;               ///< Appended-but-unflushed bytes.
-  /// The prefix a running Flush stole from buffer_ (O(1) swap) and is
-  /// writing with mu_ released; covers [flushing_start_, buffer_start_).
-  /// Non-empty only while that I/O section is in flight — i.e. only while
-  /// some thread holds flush_mu_ — so teardown, which takes flush_mu_
-  /// first, never sees one. ReadBlock serves these bytes from here.
-  std::string flushing_chunk_;
-  Lsn flushing_start_ = kHeaderSize;
 
   std::atomic<std::uint64_t> capacity_{0};
   std::atomic<Lsn> reclaimable_lsn_{kHeaderSize};

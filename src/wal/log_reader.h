@@ -22,8 +22,8 @@ namespace clog {
 ///
 /// The cursor reads the log in blocks. One pread fills its buffer with
 /// `block_size` bytes, or with the whole frame if that is larger; bytes
-/// still in the log's unflushed tail or in an in-flight flush chunk come
-/// from one copy taken under the log mutex instead. Frames are parsed out
+/// still in the log's unflushed tail come from one copy taken under the
+/// log mutex instead. Frames are parsed out
 /// of the buffer: the length is bounded by end_lsn() before anything is
 /// read or allocated for it, the CRC is verified, and records decode
 /// straight from the buffer. Bytes at an LSN never change while the log

@@ -141,19 +141,9 @@ struct LogRecord {
   /// Short human-readable form for traces and test failures.
   std::string ToString() const;
 
-  /// True for types that belong to a transaction's undo chain.
-  bool IsTransactional() const {
-    return type == LogRecordType::kBegin || type == LogRecordType::kCommit ||
-           type == LogRecordType::kAbort || type == LogRecordType::kEnd ||
-           type == LogRecordType::kUpdate || type == LogRecordType::kClr ||
-           type == LogRecordType::kSavepoint ||
-           type == LogRecordType::kLogicalUpdate ||
-           type == LogRecordType::kUndoBackfill;
-  }
-
   /// True for the page-mutating types that participate in the per-page PSN
-  /// order (redo candidates). kUndoBackfill is transactional but carries no
-  /// page effect and is never a member.
+  /// order (redo candidates). kUndoBackfill belongs to a transaction's undo
+  /// chain but carries no page effect and is never a member.
   bool IsPageUpdate() const {
     return type == LogRecordType::kUpdate || type == LogRecordType::kClr ||
            type == LogRecordType::kLogicalUpdate;

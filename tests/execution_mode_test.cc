@@ -283,9 +283,9 @@ std::map<PageId, std::vector<std::string>> RunAdaptiveRecovery(
   ClusterOptions opts;
   opts.dir = dir;
   opts.execution_mode = mode;
-  opts.logging_policy = LoggingPolicy()
-                            .WithStrategy(LogStrategy::kAdaptive)
-                            .WithRedoWorkers(4);
+  opts.node_defaults.logging_policy = LoggingPolicy()
+                                          .WithStrategy(LogStrategy::kAdaptive)
+                                          .WithRedoWorkers(4);
   Cluster cluster(opts);
   std::vector<std::vector<PageId>> pages(kNodes);
   for (int i = 0; i < kNodes; ++i) {

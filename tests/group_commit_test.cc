@@ -28,7 +28,8 @@ class GroupCommitTest : public ::testing::Test {
     ClusterOptions opts;
     opts.dir = dir_.path();
     opts.node_defaults.buffer_frames = 64;
-    opts.logging_policy.WithGroupCommitWindow(window_ns, max_group_size);
+    opts.node_defaults.logging_policy.WithGroupCommitWindow(window_ns,
+                                                            max_group_size);
     cluster_ = std::make_unique<Cluster>(opts);
     for (int i = 0; i < num_nodes; ++i) {
       Result<Node*> n = cluster_->AddNode();
@@ -225,7 +226,7 @@ TEST_F(GroupCommitTest, DriverRunParksAndStaysDeterministic) {
     ClusterOptions opts;
     opts.dir = fresh.path();
     opts.node_defaults.buffer_frames = 64;
-    opts.logging_policy.WithGroupCommitWindow(2'000'000, 4);
+    opts.node_defaults.logging_policy.WithGroupCommitWindow(2'000'000, 4);
     Cluster cluster(opts);
     Result<Node*> n = cluster.AddNode();
     ASSERT_OK(n.status());

@@ -58,10 +58,6 @@ class StubService : public NodeService {
                            RecoverPageReply*) override {
     return Status::OK();
   }
-  Status HandleDptShip(NodeId, const std::vector<DptEntry>&,
-                       const std::vector<PageId>&) override {
-    return Status::OK();
-  }
   void HandleNodeRecovered(NodeId) override {}
   Status HandleLogLossNotice(NodeId,
                              const std::vector<PageId>& pages) override {
@@ -212,7 +208,6 @@ TEST_F(NetworkTest, CrashedNodeIsNodeDownForEveryMsgType) {
                   .IsNodeDown());
   EXPECT_TRUE(net_.RecoverPage(1, 2, PageId{2, 0}, page, false, 0, &rec_reply)
                   .IsNodeDown());
-  EXPECT_TRUE(net_.DptShip(1, 2, {}, {}).IsNodeDown());
   EXPECT_TRUE(net_.NodeRecovered(1, 2, 1).IsNodeDown());
 
   // No handler ever ran, and refused requests are not charged to the wire.

@@ -39,7 +39,7 @@ class TempDir {
   std::string path_;
 };
 
-/// Writes a version-2 binary trace file (docs/observability.md) with one
+/// Writes a version-3 binary trace file (docs/observability.md) with one
 /// ring, for node 0, whose header claims `emitted` events ever emitted and
 /// `retained` events kept, followed by `present` zeroed events. The file is
 /// framed and checksummed like a real one, so a reader must catch a
@@ -53,7 +53,7 @@ inline Status WriteCraftedTraceFile(const std::string& path,
   constexpr std::size_t kEventBytes = 4 * 8 + 3 * 4;
   std::string body;
   Encoder enc(&body);
-  enc.PutU32(2);  // version
+  enc.PutU32(3);  // version
   enc.PutU64(capacity);
   enc.PutU32(1);  // node count
   enc.PutU32(0);  // node

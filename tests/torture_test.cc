@@ -330,6 +330,19 @@ TEST(TortureSmoke, MediaFailureSeedsPassAndReplayIdentically) {
   }
 }
 
+TEST(TortureSmoke, GroupCommitStaysOnInMediaMode) {
+  // Media mode sets the archive in the node defaults' logging policy; the
+  // group-commit window must land in the same policy rather than be
+  // dropped beside it. Checks the plumbing (commits park), not a verdict.
+  TortureOptions opts;
+  opts.seed = 5;
+  opts.group_commit = true;
+  opts.media_failure = true;
+  opts.keep_events = false;
+  TortureReport report = RunTortureSchedule(opts);
+  EXPECT_GT(report.txns_parked, 0u) << report.Summary();
+}
+
 TEST(TortureSmoke, HammerRestoreSeedsPassAndReplayIdentically) {
   // A couple of hammer-restore schedules ride in tier1 so the on-demand
   // rebuild path is torture-covered in every build, and the replay

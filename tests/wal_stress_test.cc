@@ -13,8 +13,8 @@
 
 /// \file
 /// Concurrency stress for the WAL append path: several producer threads
-/// append to one log, serialized by the log mutex, while a flusher forces
-/// the tail with that mutex released for the I/O. Every test encodes
+/// append to one log while a flusher forces the tail, all serialized by
+/// the log mutex. Every test encodes
 /// (producer, sequence) into each record so a reopen scan can prove the
 /// three invariants exactly: no record lost, none duplicated, and each
 /// producer's records in its append order. A scanner racing the appender
@@ -208,10 +208,9 @@ TEST(WalStressTest, CapacityIsExactUnderConcurrentAppends) {
 
 TEST(WalStressTest, ScanWhileAppendSeesOrderedPrefix) {
   // One thread appends and flushes while another scans from the start
-  // over and over. A scan's blocks come from the file, from the chunk an
-  // in-flight flush is writing, or from the tail buffer; whichever, every
-  // scan must return a prefix of the appended records, in LSN order, each
-  // byte-identical to what was written.
+  // over and over. A scan's blocks come from the file or from the tail
+  // buffer; whichever, every scan must return a prefix of the appended
+  // records, in LSN order, each byte-identical to what was written.
   constexpr std::uint64_t kRecords = 20000;
   constexpr std::uint64_t kFlushEvery = 64;
   std::vector<std::string> bodies(kRecords);

@@ -300,6 +300,47 @@ TEST_F(LogManagerTest, AbandonWithEmptyBufferedTailIsCleanCrash) {
   EXPECT_GT(log.end_lsn(), l2);
 }
 
+TEST_F(LogManagerTest, FailedForceKeepsTailForRetry) {
+  // A failed force leaves the log as it was: the records stay in the tail
+  // (readable, not durable), and the retry writes them at the same offset,
+  // so a reopen finds each exactly once.
+  FaultInjector fault(/*seed=*/11);
+  Lsn l1, l2;
+  {
+    LogManager log;
+    ASSERT_OK(log.Open(dir_.path() + "/log"));
+    log.set_fault_injector(&fault, /*node=*/0);
+    LogRecord rec = MakeUpdate(1, PageId{0, 0}, 0, kNullLsn, "one", "");
+    ASSERT_OK(log.Append(rec, &l1));
+    rec.redo_image = "two";
+    ASSERT_OK(log.Append(rec, &l2));
+    const Lsn flushed = log.flushed_lsn();
+    fault.ArmIoFault(/*node=*/0, IoFault::kFailLogSync);
+    EXPECT_TRUE(log.Flush(l2).IsIOError());
+    EXPECT_EQ(log.flushed_lsn(), flushed);
+    EXPECT_EQ(log.forces(), 0u);
+    LogRecord got;
+    ASSERT_OK(log.ReadRecord(l2, &got));
+    EXPECT_EQ(got.redo_image, "two");
+    ASSERT_OK(log.Flush(l2));
+    EXPECT_GT(log.flushed_lsn(), l2);
+    EXPECT_EQ(log.forces(), 1u);
+    log.Abandon();
+  }
+  LogManager log;
+  ASSERT_OK(log.Open(dir_.path() + "/log"));
+  LogCursor cursor(&log, LogManager::first_lsn());
+  LogRecord rec;
+  Lsn at = kNullLsn;
+  std::vector<std::pair<Lsn, std::string>> seen;
+  Status st;
+  while (cursor.Next(&rec, &at, &st)) seen.emplace_back(at, rec.redo_image);
+  ASSERT_OK(st);
+  const std::vector<std::pair<Lsn, std::string>> want = {{l1, "one"},
+                                                         {l2, "two"}};
+  EXPECT_EQ(seen, want);
+}
+
 TEST_F(LogManagerTest, UnenforcedAppendBypassesFullLog) {
   // Rollback CLRs must always be appendable: a full log rejects normal
   // appends but admits enforce_capacity=false ones.
