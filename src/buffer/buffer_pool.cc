@@ -30,7 +30,7 @@ Page* BufferPool::Lookup(PageId pid) {
 
 bool BufferPool::Contains(PageId pid) const { return frames_.contains(pid); }
 
-Result<Page*> BufferPool::Insert(PageId pid) {
+Result<Page*> BufferPool::Insert(PageId pid, Page&& image) {
   if (frames_.contains(pid)) {
     return Status::FailedPrecondition("page already cached: " +
                                       pid.ToString());
@@ -38,8 +38,13 @@ Result<Page*> BufferPool::Insert(PageId pid) {
   while (frames_.size() >= capacity_) {
     CLOG_RETURN_IF_ERROR(EvictOne());
   }
+  if (frames_.contains(pid)) {
+    // A handler that waited ran a task caching the same page; that frame
+    // may already carry newer updates, so the caller retries instead.
+    return Status::Busy("page cached during eviction: " + pid.ToString());
+  }
   Frame frame;
-  frame.page = std::make_unique<Page>();
+  frame.page = std::make_unique<Page>(std::move(image));
   lru_.push_front(pid);
   frame.lru_pos = lru_.begin();
   Page* raw = frame.page.get();

@@ -51,10 +51,13 @@ class BufferPool {
     return it == frames_.end() ? nullptr : it->second.page.get();
   }
 
-  /// Allocates a frame for `pid` (must not be cached), evicting the LRU
-  /// unpinned victim if full. The returned frame's contents are undefined;
-  /// the caller fills them (from disk, the owner, or Format).
-  Result<Page*> Insert(PageId pid);
+  /// Caches `image` as the frame for `pid` (must not be cached), evicting
+  /// the LRU unpinned victim if full. The image is adopted, not copied:
+  /// callers pass a fetched or rebuilt image, or `Page()` for a frame they
+  /// fill themselves (from disk or Format). An eviction handler can wait
+  /// and run a task that caches `pid` itself; then Insert returns Busy and
+  /// leaves both that frame and `image` untouched, as on any failure.
+  Result<Page*> Insert(PageId pid, Page&& image);
 
   /// Pins `pid` so it cannot be evicted while the caller works on it.
   void Pin(PageId pid);

@@ -7,15 +7,28 @@
 namespace clog {
 namespace {
 
-// Bucket i covers [2^(i/4-ish)] — geometric boundaries via bit width halves.
+// Log-linear buckets: values below kSub get one bucket each, and every
+// octave [2^k, 2^(k+1)) above is cut into kSub equal sub-buckets, so a
+// bucket is never wider than 1/kSub of its lower bound.
+constexpr int kSubBits = 3;
+constexpr std::uint64_t kSub = 1ull << kSubBits;
+
 int BucketFor(std::uint64_t v) {
-  if (v == 0) return 0;
-  int hi = 63 - __builtin_clzll(v);
-  return std::min(hi, 63);
+  if (v < kSub) return static_cast<int>(v);
+  const int shift = (63 - __builtin_clzll(v)) - kSubBits;
+  return static_cast<int>(kSub * (shift + 1) + ((v >> shift) - kSub));
 }
 
-std::uint64_t BucketLow(int b) { return b == 0 ? 0 : (1ull << b); }
-std::uint64_t BucketHigh(int b) { return b >= 63 ? ~0ull : (1ull << (b + 1)); }
+std::uint64_t BucketLow(int b) {
+  if (b < static_cast<int>(kSub)) return static_cast<std::uint64_t>(b);
+  const int shift = b / static_cast<int>(kSub) - 1;
+  return (kSub + b % kSub) << shift;
+}
+
+std::uint64_t BucketHigh(int b) {
+  if (b + 1 >= Histogram::kNumBuckets) return ~0ull;
+  return BucketLow(b + 1);
+}
 
 HistogramStat StatOf(const std::string& name, const Histogram& h) {
   HistogramStat s;

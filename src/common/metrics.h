@@ -26,11 +26,17 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Fixed-boundary histogram for latency-like quantities. A Record updates
-/// five fields together, so unlike Counter it takes a real (per-histogram)
-/// mutex; the critical section is a handful of arithmetic ops.
+/// Fixed-boundary histogram for latency-like quantities, with log-linear
+/// buckets: one per value below 8, then 8 equal sub-buckets per power of
+/// two, so a quantile is off by at most 1/8 of its value before
+/// interpolation. A Record updates five fields together, so unlike Counter
+/// it takes a real (per-histogram) mutex; the critical section is a
+/// handful of arithmetic ops.
 class Histogram {
  public:
+  /// 8 exact buckets plus 8 per octave for bit widths 4 through 64.
+  static constexpr int kNumBuckets = 8 + 8 * 61;
+
   Histogram();
 
   void Record(std::uint64_t v);
@@ -44,8 +50,6 @@ class Histogram {
   void Reset();
 
  private:
-  static constexpr int kNumBuckets = 64;
-
   double QuantileLocked(double q) const;
 
   mutable std::mutex mu_;

@@ -49,8 +49,7 @@ Status PageArchive::ArchivePage(std::uint32_t page_no, const Page& src) {
   if (!file_.is_open()) return Status::FailedPrecondition("archive not open");
   // Copy before writing: WritePage seals the checksum in place, and the
   // source is a live (possibly dirty) buffer-pool frame.
-  Page scratch;
-  scratch.CopyFrom(src);
+  Page scratch(src);
   CLOG_RETURN_IF_ERROR(file_.WritePage(page_no, &scratch, /*sync=*/false));
   staged_[page_no] = src.psn();
   return Status::OK();

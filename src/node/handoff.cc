@@ -357,9 +357,7 @@ Status Node::HandleHandoffOffer(NodeId from, const HandoffOffer& offer,
   // this node goes back into its (still allocated) home slot; any other
   // page lands in the ledger's adopted store.
   if (pid.owner == id_) {
-    Page img;
-    img.CopyFrom(*offer.page);
-    img.SealChecksum();
+    Page img(*offer.page);
     CLOG_RETURN_IF_ERROR(disk_.WritePage(pid.page_no, &img, /*sync=*/true));
     ChargeDiskWrite();
     CLOG_RETURN_IF_ERROR(handoff_.RecordReturned(pid));

@@ -107,8 +107,7 @@ std::vector<PageId> HandoffLedger::InflightPages() const {
 
 Status HandoffLedger::RecordAdopted(PageId pid, const Page& image,
                                     Psn seed_psn) {
-  Page sealed;
-  sealed.CopyFrom(image);
+  Page sealed(image);
   sealed.SealChecksum();
   Adoption rec;
   rec.psn = sealed.psn();
@@ -126,8 +125,7 @@ Status HandoffLedger::UpdateAdoptedImage(PageId pid, const Page& image) {
   if (it == adopted_.end()) {
     return Status::FailedPrecondition("page not adopted");
   }
-  Page sealed;
-  sealed.CopyFrom(image);
+  Page sealed(image);
   sealed.SealChecksum();
   it->second.psn = sealed.psn();
   it->second.image.assign(sealed.data(), kPageSize);

@@ -28,6 +28,11 @@ Node::Node(NodeId id, NodeOptions options, Network* network,
       ctr_log_forces_(&metrics_.GetCounter("log.forces")),
       hist_commit_ns_(&metrics_.GetHistogram("commit.latency_ns")),
       hist_force_ns_(&metrics_.GetHistogram("force.latency_ns")),
+      ctr_pages_shipped_(
+          &metrics_.GetCounter("pages.shipped_on_replacement")),
+      ctr_lock_grants_(&metrics_.GetCounter("lock.grants")),
+      ctr_callbacks_honored_(&metrics_.GetCounter("lock.callbacks_honored")),
+      ctr_callback_blocked_(&metrics_.GetCounter("lock.callback_blocked")),
       ctr_txn_begins_adaptive_(&metrics_.GetCounter("txn.begins_adaptive")),
       ctr_txn_commits_logical_(&metrics_.GetCounter("txn.commits_logical")),
       ctr_txn_logical_records_(&metrics_.GetCounter("txn.logical_records")),
@@ -301,7 +306,7 @@ Result<Page*> Node::FetchPage(PageId pid) {
     // Own page: durable version is current (own-page evictions write in
     // place, so the cache-miss copy in the durable store is the newest
     // local version).
-    CLOG_ASSIGN_OR_RETURN(Page * frame, pool_.Insert(pid));
+    CLOG_ASSIGN_OR_RETURN(Page * frame, pool_.Insert(pid, Page()));
     Status st = ReadDurablePage(pid, frame);
     if (!st.ok()) {
       pool_.Drop(pid);
@@ -331,8 +336,8 @@ Result<Page*> Node::FetchPage(PageId pid) {
   if (!reply.granted || !reply.page) {
     return Status::Busy("owner could not supply page " + pid.ToString());
   }
-  CLOG_ASSIGN_OR_RETURN(Page * frame, pool_.Insert(pid));
-  frame->CopyFrom(*reply.page);
+  CLOG_ASSIGN_OR_RETURN(Page * frame,
+                        pool_.Insert(pid, std::move(*reply.page)));
   if (trace_ != nullptr) {
     trace_->Emit(id_, TraceEventType::kPageFetch, pid.Pack(), frame->psn(),
                  owner);
@@ -359,8 +364,7 @@ Status Node::EnsureNodeLock(Transaction* txn, PageId pid, LockMode mode) {
   }
   lock_cache_.RecordNodeLock(pid, mode);
   if (reply.page && !pool_.Contains(pid)) {
-    CLOG_ASSIGN_OR_RETURN(Page * frame, pool_.Insert(pid));
-    frame->CopyFrom(*reply.page);
+    CLOG_RETURN_IF_ERROR(pool_.Insert(pid, std::move(*reply.page)).status());
   }
   return Status::OK();
 }
@@ -1188,7 +1192,7 @@ Status Node::OnEviction(PageId pid, Page* page, bool dirty) {
   page->SealChecksum();
   CLOG_RETURN_IF_ERROR(network_->PageShip(id_, owner, *page));
   dpt_.OnReplaced(pid, page->psn(), log_.end_lsn());
-  metrics_.GetCounter("pages.shipped_on_replacement").Add(1);
+  ctr_pages_shipped_->Add(1);
   if (trace_ != nullptr) {
     trace_->Emit(id_, TraceEventType::kPageShip, pid.Pack(), page->psn(),
                  owner);
@@ -1260,7 +1264,7 @@ Status Node::ShipDirtyCopy(PageId pid) {
   CLOG_RETURN_IF_ERROR(network_->PageShip(id_, owner, *page));
   dpt_.OnReplaced(pid, page->psn(), log_.end_lsn());
   pool_.MarkClean(pid);
-  metrics_.GetCounter("pages.shipped_on_replacement").Add(1);
+  ctr_pages_shipped_->Add(1);
   if (trace_ != nullptr) {
     trace_->Emit(id_, TraceEventType::kPageShip, pid.Pack(), page->psn(),
                  owner);
@@ -1280,30 +1284,34 @@ Status Node::InstallShippedCopy(const Page& page, NodeId from) {
   }
   Page* cached = pool_.Lookup(pid);
   if (cached == nullptr) {
-    Result<Page*> frame = pool_.Insert(pid);
-    if (!frame.ok()) {
+    Page image(page);
+    if (pool_.Insert(pid, std::move(image)).ok()) {
+      pool_.MarkDirty(pid);
+      replacers_[pid].insert(from);
+      return Status::OK();
+    }
+    if (!pool_.Contains(pid)) {
       // No frame available: every victim is dirty and unevictable (for
       // example its owner is down). The shipper has already dropped its
       // copy on the strength of this transfer, so the shipped version may
       // be the only one in existence — bypass the cache and write it
-      // straight home rather than lose it.
+      // straight home rather than lose it. (A failed Insert leaves `image`
+      // untouched.)
       bool newer = true;
       if (Result<Psn> disk_psn = DiskPsn(pid); disk_psn.ok()) {
         newer = page.psn() > *disk_psn;
       }
       if (newer) {
-        Page tmp;
-        tmp.CopyFrom(page);
-        CLOG_RETURN_IF_ERROR(WriteDurablePage(pid, &tmp));
-        dpt_.OnOwnerFlushed(pid, tmp.psn());
+        CLOG_RETURN_IF_ERROR(WriteDurablePage(pid, &image));
+        dpt_.OnOwnerFlushed(pid, image.psn());
       }
       replacers_[pid].insert(from);
       return Status::OK();
     }
-    cached = *frame;
-    cached->CopyFrom(page);
-    pool_.MarkDirty(pid);
-  } else if (page.psn() > cached->psn()) {
+    // An eviction that waited ran a task that cached the page meanwhile.
+    cached = pool_.Lookup(pid);
+  }
+  if (page.psn() > cached->psn()) {
     cached->CopyFrom(page);
     pool_.MarkDirty(pid);
   }

@@ -624,6 +624,12 @@ class Node : public NodeService {
   Histogram* hist_commit_ns_ = nullptr;
   Histogram* hist_force_ns_ = nullptr;
 
+  /// Page-transfer and callback-locking accounting (per page moved).
+  Counter* ctr_pages_shipped_ = nullptr;
+  Counter* ctr_lock_grants_ = nullptr;
+  Counter* ctr_callbacks_honored_ = nullptr;
+  Counter* ctr_callback_blocked_ = nullptr;
+
   /// Adaptive-logging accounting (introspect reports these per strategy).
   Counter* ctr_txn_begins_adaptive_ = nullptr;
   Counter* ctr_txn_commits_logical_ = nullptr;

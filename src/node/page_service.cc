@@ -83,10 +83,7 @@ Status Node::HandleLockPage(NodeId from, PageId pid, LockMode mode,
     if (want_page) {
       CLOG_ASSIGN_OR_RETURN(Page * latest, OwnLatestPage(pid));
       CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid, latest));
-      auto copy = std::make_shared<Page>();
-      copy->CopyFrom(*latest);
-      copy->SealChecksum();
-      reply->page = std::move(copy);
+      reply->page = std::make_shared<Page>(*latest);
     }
     return Status::OK();
   }
@@ -159,7 +156,7 @@ Status Node::HandleLockPage(NodeId from, PageId pid, LockMode mode,
     }
     if (!all_complied) {
       reply->granted = false;
-      metrics_.GetCounter("lock.callback_blocked").Add(1);
+      ctr_callback_blocked_->Add(1);
       return Status::OK();
     }
   }
@@ -167,14 +164,11 @@ Status Node::HandleLockPage(NodeId from, PageId pid, LockMode mode,
   if (!reply->granted) {
     return Status::Busy("lock grant did not converge on " + pid.ToString());
   }
-  metrics_.GetCounter("lock.grants").Add(1);
+  ctr_lock_grants_->Add(1);
   if (want_page) {
     CLOG_ASSIGN_OR_RETURN(Page * latest, OwnLatestPage(pid));
     CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid, latest));
-    auto copy = std::make_shared<Page>();
-    copy->CopyFrom(*latest);
-    copy->SealChecksum();
-    reply->page = std::move(copy);
+    reply->page = std::make_shared<Page>(*latest);
   }
   return Status::OK();
 }
@@ -205,7 +199,7 @@ Result<Page*> Node::OwnLatestPage(PageId pid) {
     return Status::Corruption("page unrecoverable after media failure: " +
                               pid.ToString());
   }
-  CLOG_ASSIGN_OR_RETURN(Page * frame, pool_.Insert(pid));
+  CLOG_ASSIGN_OR_RETURN(Page * frame, pool_.Insert(pid, Page()));
   Status st = ReadDurablePage(pid, frame);
   if (!st.ok()) {
     pool_.Drop(pid);
@@ -240,10 +234,7 @@ Status Node::HandleCallback(NodeId from, PageId pid, LockMode downgrade_to,
     } else if (cached->page_lsn() >= log_.flushed_lsn()) {
       CLOG_RETURN_IF_ERROR(ForceLog(cached->page_lsn()));
     }
-    auto copy = std::make_shared<Page>();
-    copy->CopyFrom(*cached);
-    copy->SealChecksum();
-    reply->page = std::move(copy);
+    reply->page = std::make_shared<Page>(*cached);
     reply->page_psn = cached->psn();
     dpt_.OnReplaced(pid, cached->psn(), log_.end_lsn());
     pool_.MarkClean(pid);
@@ -254,7 +245,7 @@ Status Node::HandleCallback(NodeId from, PageId pid, LockMode downgrade_to,
   }
   lock_cache_.ApplyCallback(pid, downgrade_to);
   reply->complied = true;
-  metrics_.GetCounter("lock.callbacks_honored").Add(1);
+  ctr_callbacks_honored_->Add(1);
   return Status::OK();
 }
 
@@ -388,10 +379,7 @@ Status Node::HandleFetchCachedPage(NodeId from, PageId pid,
     return Status::NotFound("page not cached: " + pid.ToString());
   }
   CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid, cached));
-  auto copy = std::make_shared<Page>();
-  copy->CopyFrom(*cached);
-  copy->SealChecksum();
-  *page = std::move(copy);
+  *page = std::make_shared<Page>(*cached);
   return Status::OK();
 }
 
@@ -530,8 +518,7 @@ Status Node::HandleRecoverPage(NodeId from, PageId pid, const Page& page_in,
     return Status::FailedPrecondition("no local log to recover from");
   }
 
-  auto work = std::make_shared<Page>();
-  work->CopyFrom(page_in);
+  auto work = std::make_shared<Page>(page_in);
 
   Lsn start = kNullLsn;
   auto cit = recovery_cursor_.find(pid);
@@ -598,7 +585,6 @@ Status Node::HandleRecoverPage(NodeId from, PageId pid, const Page& page_in,
     }
   }
   reply->more = more;
-  work->SealChecksum();
   reply->page = std::move(work);
   metrics_.GetCounter("recovery.redo_applied").Add(reply->applied);
   return Status::OK();
@@ -661,7 +647,7 @@ Status Node::ReplayPsnSchedule(PageId pid, const PsnLists& lists, Page* base,
             ? HandleRecoverPage(id_, pid, *base, has_bound, bound, &reply)
             : network_->RecoverPage(id_, target, pid, *base, has_bound,
                                     bound, &reply));
-    if (reply.page) base->CopyFrom(*reply.page);
+    if (reply.page) *base = std::move(*reply.page);
     stats->applied += reply.applied;
   }
   return Status::OK();
@@ -669,11 +655,11 @@ Status Node::ReplayPsnSchedule(PageId pid, const PsnLists& lists, Page* base,
 
 Status Node::LandRebuiltPage(PageId pid, const Page& image,
                              const PsnLists& lists) {
-  Page* frame = pool_.Lookup(pid);
-  if (frame == nullptr) {
-    CLOG_ASSIGN_OR_RETURN(frame, pool_.Insert(pid));
+  if (Page* frame = pool_.Lookup(pid)) {
+    frame->CopyFrom(image);
+  } else {
+    CLOG_RETURN_IF_ERROR(pool_.Insert(pid, Page(image)).status());
   }
-  frame->CopyFrom(image);
   pool_.MarkDirty(pid);
   for (const auto& [peer, _] : lists) {
     if (peer != id_) replacers_[pid].insert(peer);

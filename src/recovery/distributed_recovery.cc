@@ -519,33 +519,31 @@ Status RestartRecovery::RecoverRemotePages() {
       // the strength of the version that just traveled here. Discarding it
       // would let the newest committed state evaporate when the owner
       // evicts; cache it dirty so it ships home like any callback copy.
-      Page* frame = node_->pool_.Lookup(pid);
-      if (frame == nullptr) {
-        CLOG_ASSIGN_OR_RETURN(frame, node_->pool_.Insert(pid));
-      }
-      if (reply.page->psn() > frame->psn()) {
-        frame->CopyFrom(*reply.page);
+      if (Page* frame = node_->pool_.Lookup(pid)) {
+        if (reply.page->psn() > frame->psn()) frame->CopyFrom(*reply.page);
+      } else {
+        CLOG_RETURN_IF_ERROR(
+            node_->pool_.Insert(pid, std::move(*reply.page)).status());
       }
       node_->pool_.MarkDirty(pid);
       continue;
     }
     // Only our log can contain the missing tail (any other node's updates
     // predate our exclusive lock and traveled with the page).
-    Page base;
-    base.CopyFrom(*reply.page);
     PsnListReply plist;
     CLOG_RETURN_IF_ERROR(
         node_->HandleBuildPsnList(me, {pid}, /*full_history=*/false, &plist));
     RecoverPageReply rreply;
     ++stats_.redo_rounds;
     CLOG_RETURN_IF_ERROR(node_->HandleRecoverPage(
-        me, pid, base, /*has_bound=*/false, 0, &rreply));
+        me, pid, *reply.page, /*has_bound=*/false, 0, &rreply));
     stats_.redo_applied += rreply.applied;
-    Page* frame = node_->pool_.Lookup(pid);
-    if (frame == nullptr) {
-      CLOG_ASSIGN_OR_RETURN(frame, node_->pool_.Insert(pid));
+    if (Page* frame = node_->pool_.Lookup(pid)) {
+      frame->CopyFrom(*rreply.page);
+    } else {
+      CLOG_RETURN_IF_ERROR(
+          node_->pool_.Insert(pid, std::move(*rreply.page)).status());
     }
-    if (rreply.page) frame->CopyFrom(*rreply.page);
     node_->pool_.MarkDirty(pid);
     ++stats_.remote_pages_recovered;
     node_->metrics_.GetCounter("recovery.remote_pages_recovered").Add(1);

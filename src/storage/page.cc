@@ -10,6 +10,10 @@ Page::Page() : frame_(new char[kPageSize]) {
   h->magic = PageHeader::kMagic;
 }
 
+Page::Page(const Page& other) : frame_(new char[kPageSize]) {
+  std::memcpy(frame_.get(), other.frame_.get(), kPageSize);
+}
+
 void Page::Format(PageId id, PageType type, Psn psn_seed) {
   std::memset(frame_.get(), 0, kPageSize);
   PageHeader* h = mutable_header();

@@ -47,6 +47,13 @@ class Page {
  public:
   Page();
 
+  /// Copies the whole frame of `other` into a fresh allocation, without
+  /// zero-filling it first.
+  Page(const Page& other);
+  Page& operator=(const Page&) = delete;
+  Page(Page&&) noexcept = default;
+  Page& operator=(Page&&) noexcept = default;
+
   /// Zeroes the frame and formats the header for `id` with initial PSN
   /// `psn_seed` (taken from the owner's space allocation map, following the
   /// ARIES/CSA technique the paper adopts).

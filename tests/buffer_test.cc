@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "buffer/buffer_pool.h"
 #include "buffer/dirty_page_table.h"
 #include "tests/test_util.h"
@@ -13,17 +15,70 @@ TEST(BufferPoolTest, LookupMissThenInsert) {
   BufferPool pool(4);
   EXPECT_EQ(pool.Lookup(P(1)), nullptr);
   EXPECT_EQ(pool.misses(), 1u);
-  ASSERT_OK_AND_ASSIGN(Page * frame, pool.Insert(P(1)));
+  ASSERT_OK_AND_ASSIGN(Page * frame, pool.Insert(P(1), Page()));
   frame->Format(P(1), PageType::kData, 0);
   EXPECT_EQ(pool.Lookup(P(1)), frame);
   EXPECT_EQ(pool.hits(), 1u);
   EXPECT_TRUE(pool.Contains(P(1)));
 }
 
+TEST(BufferPoolTest, InsertAdoptsTheImageAndEvictionHandsItBack) {
+  BufferPool pool(1);
+  Page image;
+  image.Format(P(1), PageType::kData, 5);
+  for (std::size_t i = 0; i < Page::BodySize(); ++i) {
+    image.body()[i] = static_cast<char>(i * 13 + 3);
+  }
+  const Page expected(image);
+  const char* const frame_bytes = image.data();
+  ASSERT_OK_AND_ASSIGN(Page * frame, pool.Insert(P(1), std::move(image)));
+  EXPECT_EQ(frame->data(), frame_bytes);  // Adopted, not copied.
+  EXPECT_EQ(std::memcmp(frame->data(), expected.data(), kPageSize), 0);
+
+  bool same_bytes = false;
+  pool.SetEvictionHandler([&](PageId pid, Page* page, bool) {
+    same_bytes = pid == P(1) &&
+                 std::memcmp(page->data(), expected.data(), kPageSize) == 0;
+    return Status::OK();
+  });
+  ASSERT_OK(pool.Insert(P(2), Page()).status());
+  EXPECT_TRUE(same_bytes);
+}
+
+TEST(BufferPoolTest, InsertRechecksAfterAnEvictionCachedThePage) {
+  // An eviction handler that waits can run a task that caches the very
+  // page being inserted. Insert must then report Busy (the transaction
+  // retries) and leave that frame and the caller's image alone. Without
+  // the re-check Insert drops its new frame and returns a dangling
+  // pointer, and the write below is a heap-use-after-free under ASan.
+  BufferPool pool(2);
+  bool reentered = false;
+  pool.SetEvictionHandler([&](PageId, Page*, bool) {
+    if (!reentered) {
+      reentered = true;
+      Page other;
+      other.Format(P(3), PageType::kData, 7);
+      EXPECT_OK(pool.Insert(P(3), std::move(other)).status());
+    }
+    return Status::OK();
+  });
+  ASSERT_OK(pool.Insert(P(1), Page()).status());
+  ASSERT_OK(pool.Insert(P(2), Page()).status());
+  Page image;
+  image.Format(P(3), PageType::kData, 9);
+  Result<Page*> frame = pool.Insert(P(3), std::move(image));
+  if (frame.ok()) (*frame)->BumpPsn();
+  ASSERT_TRUE(frame.status().IsBusy()) << frame.status().ToString();
+  ASSERT_NE(pool.Lookup(P(3)), nullptr);
+  EXPECT_EQ(pool.Lookup(P(3))->psn(), 7u);
+  EXPECT_EQ(image.psn(), 9u);  // A failed Insert does not consume the image.
+  EXPECT_EQ(pool.size(), 1u);
+}
+
 TEST(BufferPoolTest, DoubleInsertFails) {
   BufferPool pool(4);
-  ASSERT_OK(pool.Insert(P(1)).status());
-  EXPECT_EQ(pool.Insert(P(1)).status().code(),
+  ASSERT_OK(pool.Insert(P(1), Page()).status());
+  EXPECT_EQ(pool.Insert(P(1), Page()).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -34,10 +89,10 @@ TEST(BufferPoolTest, LruEvictionOrder) {
     evicted.push_back(pid);
     return Status::OK();
   });
-  ASSERT_OK(pool.Insert(P(1)).status());
-  ASSERT_OK(pool.Insert(P(2)).status());
+  ASSERT_OK(pool.Insert(P(1), Page()).status());
+  ASSERT_OK(pool.Insert(P(2), Page()).status());
   pool.Lookup(P(1));  // P(1) most recent; P(2) is the LRU victim.
-  ASSERT_OK(pool.Insert(P(3)).status());
+  ASSERT_OK(pool.Insert(P(3), Page()).status());
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], P(2));
   EXPECT_TRUE(pool.Contains(P(1)));
@@ -51,11 +106,11 @@ TEST(BufferPoolTest, PinnedPagesNotEvicted) {
     evicted.push_back(pid);
     return Status::OK();
   });
-  ASSERT_OK(pool.Insert(P(1)).status());
-  ASSERT_OK(pool.Insert(P(2)).status());
+  ASSERT_OK(pool.Insert(P(1), Page()).status());
+  ASSERT_OK(pool.Insert(P(2), Page()).status());
   pool.Pin(P(1));
   pool.Lookup(P(2));  // P(1) would be LRU, but it is pinned.
-  ASSERT_OK(pool.Insert(P(3)).status());
+  ASSERT_OK(pool.Insert(P(3), Page()).status());
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], P(2));
   pool.Unpin(P(1));
@@ -64,9 +119,9 @@ TEST(BufferPoolTest, PinnedPagesNotEvicted) {
 TEST(BufferPoolTest, AllPinnedMeansBusy) {
   BufferPool pool(1);
   pool.SetEvictionHandler([](PageId, Page*, bool) { return Status::OK(); });
-  ASSERT_OK(pool.Insert(P(1)).status());
+  ASSERT_OK(pool.Insert(P(1), Page()).status());
   pool.Pin(P(1));
-  EXPECT_TRUE(pool.Insert(P(2)).status().IsBusy());
+  EXPECT_TRUE(pool.Insert(P(2), Page()).status().IsBusy());
 }
 
 TEST(BufferPoolTest, DirtyBitFlowsToHandler) {
@@ -76,10 +131,10 @@ TEST(BufferPoolTest, DirtyBitFlowsToHandler) {
     saw_dirty = dirty;
     return Status::OK();
   });
-  ASSERT_OK(pool.Insert(P(1)).status());
+  ASSERT_OK(pool.Insert(P(1), Page()).status());
   pool.MarkDirty(P(1));
   EXPECT_TRUE(pool.IsDirty(P(1)));
-  ASSERT_OK(pool.Insert(P(2)).status());
+  ASSERT_OK(pool.Insert(P(2), Page()).status());
   EXPECT_TRUE(saw_dirty);
 }
 
@@ -90,8 +145,8 @@ TEST(BufferPoolTest, ExplicitEvictAndDrop) {
     ++handler_calls;
     return Status::OK();
   });
-  ASSERT_OK(pool.Insert(P(1)).status());
-  ASSERT_OK(pool.Insert(P(2)).status());
+  ASSERT_OK(pool.Insert(P(1), Page()).status());
+  ASSERT_OK(pool.Insert(P(2), Page()).status());
   ASSERT_OK(pool.Evict(P(1)));
   EXPECT_EQ(handler_calls, 1);
   EXPECT_FALSE(pool.Contains(P(1)));
@@ -107,8 +162,8 @@ TEST(BufferPoolTest, DropAllSimulatesCrash) {
     ++handler_calls;
     return Status::OK();
   });
-  ASSERT_OK(pool.Insert(P(1)).status());
-  ASSERT_OK(pool.Insert(P(2)).status());
+  ASSERT_OK(pool.Insert(P(1), Page()).status());
+  ASSERT_OK(pool.Insert(P(2), Page()).status());
   pool.MarkDirty(P(1));
   pool.DropAll();
   EXPECT_EQ(handler_calls, 0);  // Crash writes nothing.
@@ -117,8 +172,8 @@ TEST(BufferPoolTest, DropAllSimulatesCrash) {
 
 TEST(BufferPoolTest, CachedAndDirtyLists) {
   BufferPool pool(4);
-  ASSERT_OK(pool.Insert(P(1)).status());
-  ASSERT_OK(pool.Insert(P(2)).status());
+  ASSERT_OK(pool.Insert(P(1), Page()).status());
+  ASSERT_OK(pool.Insert(P(2), Page()).status());
   pool.MarkDirty(P(2));
   EXPECT_EQ(pool.CachedPages().size(), 2u);
   auto dirty = pool.DirtyPages();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/cluster.h"
 #include "core/workload.h"
 #include "tests/test_util.h"
@@ -251,6 +253,56 @@ TEST_F(ClusterTest, CrashedOwnerRejectsRequests) {
   Status st = client_->Insert(txn, pid, "x").status();
   EXPECT_TRUE(st.IsNodeDown());
   ASSERT_OK(client_->Abort(txn));
+}
+
+// Page copies that travel with a lock grant or a callback, cached-page or
+// recovery reply carry whatever checksum field their frame had: no
+// receiver verifies them. The rule that keeps that safe is that every path writing
+// or shipping a frame reseals it first, so a verifier (HandlePageShip,
+// DiskManager::ReadPage) never sees a stale checksum.
+void SpoilChecksum(Page* page) {
+  const std::uint32_t garbage = 0xDEADBEEFu;
+  std::memcpy(page->data() + 4, &garbage, sizeof(garbage));
+  ASSERT_TRUE(page->VerifyChecksum().IsCorruption());
+}
+
+TEST_F(ClusterTest, EvictedRemoteCopyIsResealedBeforeItShips) {
+  ASSERT_OK_AND_ASSIGN(PageId pid, owner_->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(TxnId txn, client_->Begin());
+  ASSERT_OK_AND_ASSIGN(RecordId rid, client_->Insert(txn, pid, "shipped"));
+  ASSERT_OK(client_->Commit(txn));
+  BufferPool& pool = const_cast<BufferPool&>(client_->pool());
+  ASSERT_TRUE(pool.IsDirty(pid));
+  SpoilChecksum(pool.Lookup(pid));
+  // HandlePageShip verifies the image, so the eviction fails unless the
+  // client sealed its frame before shipping it.
+  ASSERT_OK(pool.Evict(pid));
+  ASSERT_OK(owner_->HandleFlushRequest(client_->id(), pid));
+  ASSERT_OK_AND_ASSIGN(Psn disk_psn, owner_->DiskPsn(pid));  // Verified read.
+  EXPECT_EQ(disk_psn, 1u);
+  ASSERT_OK_AND_ASSIGN(TxnId check, owner_->Begin());
+  ASSERT_OK_AND_ASSIGN(std::string value, owner_->Read(check, rid));
+  EXPECT_EQ(value, "shipped");
+  ASSERT_OK(owner_->Commit(check));
+}
+
+TEST_F(ClusterTest, CallbackCopyIsResealedWhenTheOwnerWritesIt) {
+  ASSERT_OK_AND_ASSIGN(PageId pid, owner_->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(TxnId txn, client_->Begin());
+  ASSERT_OK_AND_ASSIGN(RecordId rid, client_->Insert(txn, pid, "client"));
+  ASSERT_OK(client_->Commit(txn));
+  BufferPool& pool = const_cast<BufferPool&>(client_->pool());
+  ASSERT_TRUE(pool.IsDirty(pid));
+  SpoilChecksum(pool.Lookup(pid));
+  // The owner's update calls the client's X lock back; the dirty copy
+  // comes home in the callback reply with the spoiled checksum field.
+  ASSERT_OK_AND_ASSIGN(TxnId mine, owner_->Begin());
+  ASSERT_OK(owner_->Update(mine, rid, "owner"));
+  ASSERT_OK(owner_->Commit(mine));
+  EXPECT_FALSE(client_->pool().Contains(pid));
+  ASSERT_OK(owner_->HandleFlushRequest(client_->id(), pid));
+  ASSERT_OK_AND_ASSIGN(Psn disk_psn, owner_->DiskPsn(pid));  // Verified read.
+  EXPECT_EQ(disk_psn, 2u);
 }
 
 }  // namespace

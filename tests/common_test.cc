@@ -260,6 +260,26 @@ TEST(MetricsTest, HistogramStats) {
   EXPECT_GT(h.Quantile(0.99), h.Quantile(0.01));
 }
 
+// Log-linear buckets: a lone value lands in a bucket no wider than 1/8 of
+// its lower bound, at every magnitude up to the top of the range.
+TEST(MetricsTest, HistogramBucketsAreWithinOneEighth) {
+  for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{5},
+                          std::uint64_t{8}, std::uint64_t{17},
+                          std::uint64_t{1000}, std::uint64_t{5430720},
+                          std::uint64_t{6291456}, ~std::uint64_t{0} >> 1,
+                          ~std::uint64_t{0}}) {
+    Histogram h;
+    h.Record(v);
+    const double q = h.Quantile(0.5);
+    EXPECT_LE(q, static_cast<double>(v)) << v;
+    EXPECT_GE(q, static_cast<double>(v) * 7 / 8) << v;
+  }
+  // Below 16 every value has a bucket of its own.
+  Histogram small;
+  for (std::uint64_t v = 0; v < 16; ++v) small.Record(v);
+  EXPECT_DOUBLE_EQ(small.Quantile(0.5), 8.0);
+}
+
 TEST(SliceTest, ComparisonAndConversion) {
   std::string s = "abc";
   Slice a(s), b("abc"), c("abd");

@@ -43,25 +43,44 @@ TEST(Crc32cTest, EmptyInput) {
   EXPECT_EQ(crc32c::Extend(0x12345678u, nullptr, 0), 0x12345678u);
 }
 
-/// Hardware and software paths must agree bit-for-bit on every length and
-/// alignment: the dispatch is a pure performance decision, never a format
-/// one. The buffer is larger than any unroll window so the vectorized
-/// inner loops, the alignment prologues, and the byte tails all run.
-TEST(Crc32cTest, HardwareSoftwareAgreementAcrossLengthsAndAlignments) {
-  Random rng(0xC5C5C5C5ull);
+std::string RandomBytes(std::uint64_t seed, std::size_t n) {
+  Random rng(seed);
   std::string buf;
-  for (int i = 0; i < 4096; ++i) {
+  buf.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     buf.push_back(static_cast<char>(rng.Uniform(256)));
   }
-  for (std::size_t align = 0; align < 9; ++align) {
-    for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                            std::size_t{7}, std::size_t{8}, std::size_t{9},
-                            std::size_t{31}, std::size_t{32}, std::size_t{33},
-                            std::size_t{63}, std::size_t{64}, std::size_t{255},
-                            std::size_t{1024}, std::size_t{4000}}) {
+  return buf;
+}
+
+/// Hardware and software paths must agree bit-for-bit on every length and
+/// alignment: the dispatch is a pure performance decision, never a format
+/// one. Every length up to 4,000 runs the alignment prologue, the unrolled
+/// single-stream loop and the byte tail; the listed lengths sit on either
+/// side of the three-stream path's strides (3 x 128 B and 3 x 1 KiB), and
+/// the page checksum span (8,184 B), a page and 64 KiB run several long
+/// strides followed by short ones.
+TEST(Crc32cTest, HardwareSoftwareAgreementAcrossLengthsAndAlignments) {
+  const std::string buf = RandomBytes(0xC5C5C5C5ull, 72 * 1024);
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 4000; ++len) lengths.push_back(len);
+  for (std::size_t stride : {std::size_t{3 * 128}, std::size_t{3 * 1024}}) {
+    for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+      for (std::size_t len :
+           {k * stride - 1, k * stride, k * stride + 1, k * stride + 8}) {
+        lengths.push_back(len);
+      }
+    }
+  }
+  for (std::size_t len : {std::size_t{8184}, std::size_t{8192},
+                          std::size_t{65536}, std::size_t{70000}}) {
+    lengths.push_back(len);
+  }
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len : lengths) {
       ASSERT_LE(align + len, buf.size());
       const char* p = buf.data() + align;
-      EXPECT_EQ(crc32c::Value(p, len), crc32c::ValuePortable(p, len))
+      ASSERT_EQ(crc32c::Value(p, len), crc32c::ValuePortable(p, len))
           << "align=" << align << " len=" << len
           << " impl=" << crc32c::ImplName();
     }
@@ -94,6 +113,26 @@ TEST(Crc32cTest, RandomizedExtendChainsCompose) {
     }
     ASSERT_EQ(chained, whole) << "round=" << round;
     ASSERT_EQ(chained_sw, whole) << "round=" << round;
+  }
+}
+
+/// Pieces of up to 9 KiB put the three-stream path in the middle of a
+/// chain: it starts from a running CRC and a later piece extends its
+/// result, at whatever alignment a random cut leaves.
+TEST(Crc32cTest, ExtendChainsWithLongPiecesCompose) {
+  const std::string data = RandomBytes(0xBADC0FFEEull, 72 * 1024);
+  const std::uint32_t whole = crc32c::ValuePortable(data.data(), data.size());
+  Random rng(0x5EED5ull);
+  for (int round = 0; round < 20; ++round) {
+    std::uint32_t chained = 0;
+    std::size_t off = 0;
+    while (off < data.size()) {
+      std::size_t piece = std::min<std::size_t>(1 + rng.Uniform(9 * 1024),
+                                                data.size() - off);
+      chained = crc32c::Extend(chained, data.data() + off, piece);
+      off += piece;
+    }
+    ASSERT_EQ(chained, whole) << "round=" << round;
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/random.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
@@ -37,6 +39,21 @@ TEST(PageTest, ChecksumRoundTrip) {
   EXPECT_OK(page.VerifyChecksum());
   page.body()[10] = 'y';  // Corrupt after sealing.
   EXPECT_TRUE(page.VerifyChecksum().IsCorruption());
+}
+
+TEST(PageTest, CopyConstructorCopiesEveryByte) {
+  Page a;
+  a.Format(PageId{3, 4}, PageType::kData, 11);
+  for (std::size_t i = 0; i < Page::BodySize(); ++i) {
+    a.body()[i] = static_cast<char>(i * 7 + 1);
+  }
+  a.SealChecksum();
+  Page b(a);
+  EXPECT_NE(b.data(), a.data());
+  EXPECT_EQ(std::memcmp(b.data(), a.data(), kPageSize), 0);
+  EXPECT_OK(b.VerifyChecksum());
+  a.body()[0] = 'z';  // Deep: the copy keeps its own frame.
+  EXPECT_EQ(b.body()[0], static_cast<char>(1));
 }
 
 TEST(PageTest, CopyFromIsDeep) {
