@@ -50,8 +50,14 @@ Row Measure(LoggingMode mode, std::size_t buffer_frames) {
 
   Row row;
   row.forced_writes = server->disk().writes() - writes0;
+  // Pages shipped home. Client-local ships only replaced pages, many inside
+  // the page request of the miss that replaced them, so the client's own
+  // count covers both transports. B2 never carries a page but also ships
+  // every page it transferred at commit: its PageShip messages count all.
   row.page_ships =
-      bc->network().metrics().CounterValue("msg.page_ship");
+      mode == LoggingMode::kClientLocal
+          ? tiny->metrics().CounterValue("pages.shipped_on_replacement")
+          : bc->network().metrics().CounterValue("msg.page_ship");
   row.committed = driver.stats().committed;
   row.makespan_ns = bc->network().MaxBusyNanos();
   return row;

@@ -18,6 +18,14 @@
 namespace clog {
 namespace {
 
+/// Directory `name` on the tmpfs at /dev/shm where there is one, so a
+/// cluster's commit fdatasync costs no device time and the cluster benches
+/// time the engine's CPU path.
+std::string ClusterDir(const std::string& name) {
+  return (std::filesystem::is_directory("/dev/shm") ? "/dev/shm/" : "/tmp/") +
+         name;
+}
+
 void BM_Crc32c(benchmark::State& state) {
   std::string data(static_cast<std::size_t>(state.range(0)), 'x');
   for (auto _ : state) {
@@ -139,7 +147,7 @@ void BM_LogAppendWithForce(benchmark::State& state) {
 BENCHMARK(BM_LogAppendWithForce)->Iterations(200);
 
 void BM_SingleNodeCommittedTxn(benchmark::State& state) {
-  std::string dir = "/tmp/clog_micro_txn";
+  std::string dir = ClusterDir("clog_micro_txn");
   std::system(("rm -rf " + dir).c_str());
   ClusterOptions options;
   options.dir = dir;
@@ -169,7 +177,7 @@ void BM_SingleNodeCommittedTxn(benchmark::State& state) {
 BENCHMARK(BM_SingleNodeCommittedTxn)->Iterations(500);
 
 void BM_RemotePageCachedUpdate(benchmark::State& state) {
-  std::string dir = "/tmp/clog_micro_remote";
+  std::string dir = ClusterDir("clog_micro_remote");
   std::system(("rm -rf " + dir).c_str());
   ClusterOptions options;
   options.dir = dir;
@@ -200,14 +208,12 @@ BENCHMARK(BM_RemotePageCachedUpdate)->Iterations(500);
 
 // Data shipping on a cache miss (paper Section 2.1): the client's pool has
 // two frames and it updates three server pages in rotation, so every
-// transaction fetches one page with its lock grant and ships its dirty LRU
-// victim home. Zero simulated costs, and the cluster lives on the tmpfs at
-// /dev/shm where there is one, so the commit's fdatasync costs no device
-// time: what is left is the engine's CPU path for the two page transfers.
+// transaction fetches one page with its lock grant, and its dirty LRU
+// victim rides that request home. Zero simulated costs and a tmpfs
+// cluster: what is left is the engine's CPU path for the two page
+// transfers.
 void BM_RemotePageMissUpdate(benchmark::State& state) {
-  std::string dir = std::filesystem::is_directory("/dev/shm")
-                        ? "/dev/shm/clog_micro_remote_miss"
-                        : "/tmp/clog_micro_remote_miss";
+  std::string dir = ClusterDir("clog_micro_remote_miss");
   std::system(("rm -rf " + dir).c_str());
   ClusterOptions options;
   options.dir = dir;

@@ -4,14 +4,16 @@
 #
 # Builds the tree under -DCLOG_TSAN=ON in its own build directory and runs
 # the `execution`-labelled ctest suite — the executor's run-token tests,
-# the cross-mode equivalence tests, the real-mode crash drill, and the
-# determinism pin — the tests that actually put multiple threads through
-# the executor, the mailbox network, and the shared-state seams (metrics,
-# trace sink, log manager) — followed by the `restore`-labelled suite,
-# whose real-mode half runs background restore sweeper threads against
-# foreground first-touch rebuilds — and the `wal`-labelled suite, which
-# hammers the WAL (appends, forces and reads all serialized by the log
-# mutex) with multi-producer append/flush/abandon storms.
+# the cross-mode equivalence tests, the real-mode crash drill, the
+# data-shipping stress test (four client threads against an owner under
+# cache pressure), and the determinism pin — the tests that actually put
+# multiple threads through the executor, the mailbox network, and the
+# shared-state seams (metrics, trace sink, log manager) — followed by the
+# `restore`-labelled suite, whose real-mode half runs background restore
+# sweeper threads against foreground first-touch rebuilds — and the
+# `wal`-labelled suite, which hammers the WAL (appends, forces and reads
+# all serialized by the log mutex) with multi-producer append/flush/abandon
+# storms.
 #
 # Usage: scripts/run_tsan_tests.sh [--build-dir=DIR] [--repeat=N]
 #   --repeat=N  run the suite N times (default 3): scheduler-dependent

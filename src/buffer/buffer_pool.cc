@@ -52,15 +52,23 @@ Result<Page*> BufferPool::Insert(PageId pid, Page&& image) {
   return raw;
 }
 
-Status BufferPool::EvictOne() {
+std::optional<PageId> BufferPool::NextVictim() const {
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
     auto fit = frames_.find(*it);
     if (fit != frames_.end() && fit->second.pins == 0 &&
         !fit->second.evicting) {
-      return EvictFrame(*it);
+      return *it;
     }
   }
-  return Status::Busy("buffer pool: all frames pinned or mid-eviction");
+  return std::nullopt;
+}
+
+Status BufferPool::EvictOne() {
+  std::optional<PageId> victim = NextVictim();
+  if (!victim) {
+    return Status::Busy("buffer pool: all frames pinned or mid-eviction");
+  }
+  return EvictFrame(*victim);
 }
 
 Status BufferPool::EvictFrame(PageId pid) {
@@ -70,6 +78,7 @@ Status BufferPool::EvictFrame(PageId pid) {
     return Status::Busy("page mid-eviction: " + pid.ToString());
   }
   it->second.evicting = true;
+  const Psn psn = it->second.page->psn();
   Status st = Status::OK();
   if (handler_) {
     st = handler_(pid, it->second.page.get(), it->second.dirty);
@@ -78,17 +87,17 @@ Status BufferPool::EvictFrame(PageId pid) {
   // map (invalidating `it`) and nested drops may have removed this frame.
   it = frames_.find(pid);
   if (it == frames_.end()) return st;
+  if (st.ok() && it->second.page->psn() != psn) {
+    // A task run while the handler waited installed a newer image (a
+    // shipped copy, a local update): what the handler wrote or shipped is
+    // stale, so the frame stays for a later eviction.
+    st = Status::Busy("page changed during eviction: " + pid.ToString());
+  }
   if (!st.ok()) {
     it->second.evicting = false;
     return st;
   }
-  if (trace_ != nullptr) {
-    trace_->Emit(trace_node_, TraceEventType::kPageEvict, pid.Pack(), 0,
-                 it->second.dirty ? 1 : 0);
-  }
-  lru_.erase(it->second.lru_pos);
-  frames_.erase(it);
-  ++evictions_;
+  Drop(pid, /*as_eviction=*/true);
   return Status::OK();
 }
 
@@ -103,9 +112,11 @@ Status BufferPool::Evict(PageId pid) {
   return EvictFrame(pid);
 }
 
-void BufferPool::Pin(PageId pid) {
+Page* BufferPool::Pin(PageId pid) {
   auto it = frames_.find(pid);
-  if (it != frames_.end()) ++it->second.pins;
+  if (it == frames_.end()) return nullptr;
+  ++it->second.pins;
+  return it->second.page.get();
 }
 
 void BufferPool::Unpin(PageId pid) {
@@ -128,9 +139,16 @@ bool BufferPool::IsDirty(PageId pid) const {
   return it != frames_.end() && it->second.dirty;
 }
 
-void BufferPool::Drop(PageId pid) {
+void BufferPool::Drop(PageId pid, bool as_eviction) {
   auto it = frames_.find(pid);
   if (it == frames_.end()) return;
+  if (as_eviction) {
+    if (trace_ != nullptr) {
+      trace_->Emit(trace_node_, TraceEventType::kPageEvict, pid.Pack(), 0,
+                   it->second.dirty ? 1 : 0);
+    }
+    ++evictions_;
+  }
   lru_.erase(it->second.lru_pos);
   frames_.erase(it);
 }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <list>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -60,7 +61,8 @@ class BufferPool {
   Result<Page*> Insert(PageId pid, Page&& image);
 
   /// Pins `pid` so it cannot be evicted while the caller works on it.
-  void Pin(PageId pid);
+  /// Returns its frame (nullptr if not cached); no LRU effect.
+  Page* Pin(PageId pid);
   void Unpin(PageId pid);
 
   /// Marks / clears the dirty bit.
@@ -69,12 +71,18 @@ class BufferPool {
   bool IsDirty(PageId pid) const;
 
   /// Removes `pid` without invoking the eviction handler (callback-release,
-  /// page forced and dropped, recovery rewiring). No-op if absent.
-  void Drop(PageId pid);
+  /// page forced and dropped, recovery rewiring). No-op if absent. With
+  /// `as_eviction` the removal is counted and traced as an eviction whose
+  /// write or ship the caller did itself.
+  void Drop(PageId pid, bool as_eviction = false);
 
   /// Explicitly evicts `pid` through the eviction handler (Section 2.5 log
   /// space pressure evicts a specific page, not the LRU choice).
   Status Evict(PageId pid);
+
+  /// The frame the next eviction would pick: the least recently used one
+  /// that is neither pinned nor mid-eviction. No LRU effect.
+  std::optional<PageId> NextVictim() const;
 
   /// Discards every frame without any handler calls: a node crash.
   void DropAll();

@@ -90,6 +90,8 @@ struct LockPageReply {
   bool granted = false;
   /// Current page image, present when the requester asked for the page.
   std::shared_ptr<Page> page;
+  /// The owner installed the replaced page the request carried home.
+  bool carried_installed = false;
   /// When not granted: nodes whose cached locks conflict (deadlock info).
   std::vector<NodeId> blockers;
   /// When not granted: remote transactions actively using the conflicting

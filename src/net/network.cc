@@ -277,13 +277,16 @@ void Network::Charge(MsgType type, std::uint64_t bytes, NodeId from,
 }
 
 Status Network::LockPage(NodeId from, NodeId to, PageId pid, LockMode mode,
-                         bool want_page, LockPageReply* reply) {
+                         bool want_page, LockPageReply* reply,
+                         const Page* carried) {
   const std::uint64_t t0 = Now();
   CLOG_ASSIGN_OR_RETURN(NodeService * svc, AdmitWithRetry(from, to));
-  Charge(MsgType::kLockPageRequest, 0, from, to);
+  Charge(MsgType::kLockPageRequest, carried != nullptr ? kPageSize : 0, from,
+         to);
   Status st;
-  CLOG_RETURN_IF_ERROR(
-      Deliver(to, [&] { st = svc->HandleLockPage(from, pid, mode, want_page, reply); }));
+  CLOG_RETURN_IF_ERROR(Deliver(to, [&] {
+    st = svc->HandleLockPage(from, pid, mode, want_page, carried, reply);
+  }));
   Charge(MsgType::kLockPageReply, reply->page ? kPageSize : 0, from, to);
   RecordRtt(t0);
   return st;

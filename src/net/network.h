@@ -55,9 +55,12 @@ class NodeService {
   // --- Normal processing (Section 2.2) ---
 
   /// Owner-side: grant `mode` on `pid` to node `from`, running callbacks to
-  /// conflicting holders first. Fills the page image if `want_page`.
+  /// conflicting holders first. Fills the page image if `want_page`. First
+  /// installs `carried`, if set, as HandlePageShip would: a replaced dirty
+  /// copy of another of my pages that rode the request home.
   virtual Status HandleLockPage(NodeId from, PageId pid, LockMode mode,
-                                bool want_page, LockPageReply* reply) = 0;
+                                bool want_page, const Page* carried,
+                                LockPageReply* reply) = 0;
 
   /// Holder-side: release (downgrade_to == kNone) or demote
   /// (downgrade_to == kShared) the cached lock on `pid`; ship the cached
@@ -220,8 +223,11 @@ class Network {
   std::vector<NodeId> OperationalNodes(NodeId except = kInvalidNodeId) const;
 
   // --- Accounted RPC wrappers (one per request type) ---
+  /// `carried`, if set, rides the request (charged kPageSize): a replaced
+  /// dirty page of `to`'s, so the miss needs no separate PageShip.
   Status LockPage(NodeId from, NodeId to, PageId pid, LockMode mode,
-                  bool want_page, LockPageReply* reply);
+                  bool want_page, LockPageReply* reply,
+                  const Page* carried = nullptr);
   Status Callback(NodeId from, NodeId to, PageId pid, LockMode downgrade_to,
                   CallbackReply* reply);
   Status UnlockNotice(NodeId from, NodeId to, PageId pid);

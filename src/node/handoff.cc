@@ -82,12 +82,7 @@ Status Node::PrepareDeparture() {
     if (OwnsPage(pid)) continue;
     Page* cached = pool_.Lookup(pid);
     if (cached == nullptr || !pool_.IsDirty(pid)) continue;
-    CLOG_RETURN_IF_ERROR(PrepareSteal(pid));
-    if (options_.logging_mode != LoggingMode::kShipToOwner &&
-        cached->page_lsn() >= log_.flushed_lsn()) {
-      CLOG_RETURN_IF_ERROR(ForceLog(cached->page_lsn()));
-    }
-    cached->SealChecksum();
+    CLOG_RETURN_IF_ERROR(PrepareEviction(pid, cached));
     CLOG_RETURN_IF_ERROR(network_->PageShip(id_, OwnerOf(pid), *cached));
     dpt_.OnReplaced(pid, cached->psn(), log_.end_lsn());
     pool_.MarkClean(pid);

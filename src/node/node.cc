@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "common/fsutil.h"
 #include "fault/fault_injector.h"
@@ -330,8 +331,8 @@ Result<Page*> Node::FetchPage(PageId pid) {
   const NodeId owner = OwnerOf(pid);
   CLOG_RETURN_IF_ERROR(CheckOwnerAvailable(owner));
   LockPageReply reply;
-  Status fetch_st = network_->LockPage(id_, owner, pid, mode,
-                                       /*want_page=*/true, &reply);
+  Status fetch_st =
+      RequestRemotePage(owner, pid, mode, /*want_page=*/true, &reply);
   if (!fetch_st.ok()) return NoteOwnerFailure(owner, fetch_st);
   if (!reply.granted || !reply.page) {
     return Status::Busy("owner could not supply page " + pid.ToString());
@@ -349,12 +350,13 @@ Status Node::EnsureNodeLock(Transaction* txn, PageId pid, LockMode mode) {
   LockPageReply reply;
   Status st;
   if (OwnsPage(pid)) {
-    st = HandleLockPage(id_, pid, mode, /*want_page=*/false, &reply);
+    st = HandleLockPage(id_, pid, mode, /*want_page=*/false,
+                        /*carried=*/nullptr, &reply);
   } else {
     const NodeId owner = OwnerOf(pid);
     CLOG_RETURN_IF_ERROR(CheckOwnerAvailable(owner));
-    st = network_->LockPage(id_, owner, pid, mode,
-                            /*want_page=*/!pool_.Contains(pid), &reply);
+    st = RequestRemotePage(owner, pid, mode,
+                           /*want_page=*/!pool_.Contains(pid), &reply);
     if (st.IsNodeDown()) st = NoteOwnerFailure(owner, st);
   }
   if (!st.ok()) return st;  // e.g. owner down or parked
@@ -367,6 +369,39 @@ Status Node::EnsureNodeLock(Transaction* txn, PageId pid, LockMode mode) {
     CLOG_RETURN_IF_ERROR(pool_.Insert(pid, std::move(*reply.page)).status());
   }
   return Status::OK();
+}
+
+Status Node::RequestRemotePage(NodeId owner, PageId pid, LockMode mode,
+                               bool want_page, LockPageReply* reply) {
+  // When the image needs a frame and the frame to free holds a dirty page
+  // of the same owner, that page rides the request home (Section 2.1)
+  // instead of taking a PageShip round trip of its own. Only once its log
+  // records are durable: a victim that needs a force ships on its own, so
+  // a request that fails has forced nothing.
+  std::optional<PageId> victim;
+  if (want_page && options_.logging_mode == LoggingMode::kClientLocal &&
+      pool_.size() >= pool_.capacity()) {
+    victim = pool_.NextVictim();
+  }
+  if (!victim || !pool_.IsDirty(*victim) || OwnsPage(*victim) ||
+      OwnerOf(*victim) != owner ||
+      pool_.Peek(*victim)->page_lsn() >= log_.flushed_lsn()) {
+    return network_->LockPage(id_, owner, pid, mode, want_page, reply);
+  }
+  // The victim stays cached and pinned for the call, so no task run
+  // meanwhile can evict it a second way.
+  const PageId v = *victim;
+  Page* frame = pool_.Pin(v);
+  Status st = PrepareEviction(v, frame);
+  const Psn psn = frame->psn();
+  if (st.ok()) {
+    st = network_->LockPage(id_, owner, pid, mode, want_page, reply, frame);
+  }
+  pool_.Unpin(v);
+  if (reply->carried_installed && FinishShipHome(v, psn, owner)) {
+    pool_.Drop(v, /*as_eviction=*/true);
+  }
+  return st;
 }
 
 Result<Page*> Node::EnsureNodePage(Transaction* txn, PageId pid,
@@ -1144,11 +1179,7 @@ std::vector<TxnId> Node::LastBlockers(TxnId txn_id) const {
 // Eviction policy and flush bookkeeping
 // ---------------------------------------------------------------------------
 
-Status Node::OnEviction(PageId pid, Page* page, bool dirty) {
-  if (!dirty) {
-    // Clean pages just leave; the cached node lock stays cached.
-    return Status::OK();
-  }
+Status Node::PrepareEviction(PageId pid, Page* page) {
   if (options_.logging_mode == LoggingMode::kShipToOwner) {
     // B1 WAL-to-owner: the owner's log must cover the page before the page
     // arrives there.
@@ -1167,36 +1198,56 @@ Status Node::OnEviction(PageId pid, Page* page, bool dirty) {
       CLOG_RETURN_IF_ERROR(ForceLog(page->page_lsn()));
     }
   }
+  if (!OwnsPage(pid)) page->SealChecksum();
+  return Status::OK();
+}
+
+bool Node::FinishShipHome(PageId pid, Psn psn, NodeId owner) {
+  // A task run while the transfer waited may have dropped or updated the
+  // frame; its own bookkeeping then stands. OnReplaced at the older PSN
+  // would let a flush at that PSN move RedoLSN past the task's records.
+  const Page* frame = pool_.Peek(pid);
+  if (frame == nullptr || frame->psn() != psn) return false;
+  // Section 2.5: remember the end of the log for the owner's FlushNotify.
+  dpt_.OnReplaced(pid, psn, log_.end_lsn());
+  ctr_pages_shipped_->Add(1);
+  if (trace_ != nullptr) {
+    trace_->Emit(id_, TraceEventType::kPageShip, pid.Pack(), psn, owner);
+  }
+  return true;
+}
+
+void Node::NotifyReplacers(PageId pid, Psn flushed_psn) {
+  // Taken out before the first notice: each can wait, and a ship installed
+  // meanwhile registers its sender afresh, for the next flush to notify.
+  auto replacers = replacers_.extract(pid);
+  if (replacers.empty() || !options_.send_flush_notifications) return;
+  for (NodeId peer : replacers.mapped()) {
+    if (peer != id_) network_->FlushNotify(id_, peer, pid, flushed_psn).ok();
+  }
+}
+
+Status Node::OnEviction(PageId pid, Page* page, bool dirty) {
+  if (!dirty) {
+    // Clean pages just leave; the cached node lock stays cached.
+    return Status::OK();
+  }
+  CLOG_RETURN_IF_ERROR(PrepareEviction(pid, page));
   if (OwnsPage(pid)) {
     // Own page: write in place. Synchronous, because the DPT entry is
     // dropped on the strength of this write.
     CLOG_RETURN_IF_ERROR(WriteDurablePage(pid, page));
     dpt_.Remove(pid);
-    Psn psn = page->psn();
-    auto it = replacers_.find(pid);
-    if (it != replacers_.end()) {
-      if (options_.send_flush_notifications) {
-        for (NodeId peer : it->second) {
-          if (peer == id_) continue;
-          network_->FlushNotify(id_, peer, pid, psn).ok();
-        }
-      }
-      replacers_.erase(it);
-    }
+    NotifyReplacers(pid, page->psn());
     AdvanceReclaimHorizon();
     return Status::OK();
   }
-  // Remote page: the copy travels home to the owner (Section 2.1), and the
-  // node remembers the end of its log for Section 2.5.
+  // Remote page: the copy travels home to the owner on its own (a page
+  // request to the same owner carries it instead, RequestRemotePage).
   const NodeId owner = OwnerOf(pid);
-  page->SealChecksum();
+  const Psn psn = page->psn();
   CLOG_RETURN_IF_ERROR(network_->PageShip(id_, owner, *page));
-  dpt_.OnReplaced(pid, page->psn(), log_.end_lsn());
-  ctr_pages_shipped_->Add(1);
-  if (trace_ != nullptr) {
-    trace_->Emit(id_, TraceEventType::kPageShip, pid.Pack(), page->psn(),
-                 owner);
-  }
+  FinishShipHome(pid, psn, owner);
   if (options_.logging_mode == LoggingMode::kForceAtTransfer) {
     CLOG_RETURN_IF_ERROR(network_->FlushRequest(id_, owner, pid));
   }
@@ -1234,16 +1285,7 @@ Status Node::ForceOwnPage(PageId pid) {
     // Nothing newer here: the disk version is what we can vouch for.
     CLOG_ASSIGN_OR_RETURN(flushed_psn, DiskPsn(pid));
   }
-  auto it = replacers_.find(pid);
-  if (it != replacers_.end()) {
-    if (options_.send_flush_notifications) {
-      for (NodeId peer : it->second) {
-        if (peer == id_) continue;
-        network_->FlushNotify(id_, peer, pid, flushed_psn).ok();
-      }
-    }
-    replacers_.erase(it);
-  }
+  NotifyReplacers(pid, flushed_psn);
   AdvanceReclaimHorizon();
   metrics_.GetCounter("pages.forced").Add(1);
   return Status::OK();
@@ -1255,25 +1297,16 @@ Status Node::ShipDirtyCopy(PageId pid) {
   }
   Page* page = pool_.Lookup(pid);
   if (page == nullptr || !pool_.IsDirty(pid)) return Status::OK();
-  if (options_.logging_mode != LoggingMode::kShipToOwner &&
-      page->page_lsn() >= log_.flushed_lsn()) {
-    CLOG_RETURN_IF_ERROR(ForceLog(page->page_lsn()));
-  }
+  CLOG_RETURN_IF_ERROR(PrepareEviction(pid, page));
   const NodeId owner = OwnerOf(pid);
-  page->SealChecksum();
+  const Psn psn = page->psn();
   CLOG_RETURN_IF_ERROR(network_->PageShip(id_, owner, *page));
-  dpt_.OnReplaced(pid, page->psn(), log_.end_lsn());
-  pool_.MarkClean(pid);
-  ctr_pages_shipped_->Add(1);
-  if (trace_ != nullptr) {
-    trace_->Emit(id_, TraceEventType::kPageShip, pid.Pack(), page->psn(),
-                 owner);
-  }
+  if (FinishShipHome(pid, psn, owner)) pool_.MarkClean(pid);
   return Status::OK();
 }
 
 Status Node::InstallShippedCopy(const Page& page, NodeId from) {
-  PageId pid = page.id();
+  const PageId pid = page.id();
   if (!OwnsPage(pid)) {
     return Status::InvalidArgument("shipped page not owned here: " +
                                    pid.ToString());
@@ -1284,6 +1317,8 @@ Status Node::InstallShippedCopy(const Page& page, NodeId from) {
   }
   Page* cached = pool_.Lookup(pid);
   if (cached == nullptr) {
+    // Copied before Insert: its eviction can wait, and a task run meanwhile
+    // on the sender may drop the frame `page` refers to.
     Page image(page);
     if (pool_.Insert(pid, std::move(image)).ok()) {
       pool_.MarkDirty(pid);
@@ -1299,7 +1334,7 @@ Status Node::InstallShippedCopy(const Page& page, NodeId from) {
       // untouched.)
       bool newer = true;
       if (Result<Psn> disk_psn = DiskPsn(pid); disk_psn.ok()) {
-        newer = page.psn() > *disk_psn;
+        newer = image.psn() > *disk_psn;
       }
       if (newer) {
         CLOG_RETURN_IF_ERROR(WriteDurablePage(pid, &image));
@@ -1310,8 +1345,11 @@ Status Node::InstallShippedCopy(const Page& page, NodeId from) {
     }
     // An eviction that waited ran a task that cached the page meanwhile.
     cached = pool_.Lookup(pid);
-  }
-  if (page.psn() > cached->psn()) {
+    if (image.psn() > cached->psn()) {
+      cached->CopyFrom(image);
+      pool_.MarkDirty(pid);
+    }
+  } else if (page.psn() > cached->psn()) {
     cached->CopyFrom(page);
     pool_.MarkDirty(pid);
   }

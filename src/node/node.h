@@ -251,7 +251,7 @@ class Node : public NodeService {
   // ---------------------------------------------------------------------
 
   Status HandleLockPage(NodeId from, PageId pid, LockMode mode, bool want_page,
-                        LockPageReply* reply) override;
+                        const Page* carried, LockPageReply* reply) override;
   Status HandleCallback(NodeId from, PageId pid, LockMode downgrade_to,
                         CallbackReply* reply) override;
   Status HandleUnlockNotice(NodeId from, PageId pid) override;
@@ -393,6 +393,12 @@ class Node : public NodeService {
   /// Busy fills txn->last_blockers.
   Status EnsureNodeLock(Transaction* txn, PageId pid, LockMode mode);
 
+  /// Asks remote `owner` for a lock on `pid` (and the page, if
+  /// `want_page`). A dirty victim of the same owner that the image's frame
+  /// would evict rides the request home (docs/PROTOCOLS.md §2).
+  Status RequestRemotePage(NodeId owner, PageId pid, LockMode mode,
+                           bool want_page, LockPageReply* reply);
+
   /// Availability layer: Unavailable while `owner` is parked (recovering
   /// and not yet heard NodeRecovered from), OK otherwise. Parks expire
   /// after the policy's park TTL in case the broadcast was lost.
@@ -521,6 +527,20 @@ class Node : public NodeService {
 
   /// Buffer pool eviction policy (write-in-place / ship-to-owner + WAL).
   Status OnEviction(PageId pid, Page* page, bool dirty);
+
+  /// Section 2.1 steal rule before dirty `page` leaves the cache, by write
+  /// or by either ship transport: its log records are durable (B1: shipped
+  /// to the owner), and a remote copy is sealed.
+  Status PrepareEviction(PageId pid, Page* page);
+
+  /// Bookkeeping once a replaced copy of remote `pid` at `psn` reached
+  /// `owner`: OnReplaced, pages.shipped_on_replacement and PAGE_SHIP.
+  /// Skipped (false) if the frame was dropped or updated meanwhile.
+  bool FinishShipHome(PageId pid, Psn psn, NodeId owner);
+
+  /// Owner-side: FlushNotify each replacer of `pid` that the disk version
+  /// is at `flushed_psn`, and forget them.
+  void NotifyReplacers(PageId pid, Psn flushed_psn);
 
   /// Owner-side: force own page to disk and notify replacers.
   Status ForceOwnPage(PageId pid);

@@ -16,9 +16,16 @@ namespace clog {
 // ---------------------------------------------------------------------------
 
 Status Node::HandleLockPage(NodeId from, PageId pid, LockMode mode,
-                            bool want_page, LockPageReply* reply) {
+                            bool want_page, const Page* carried,
+                            LockPageReply* reply) {
   *reply = LockPageReply();
   if (state_ == NodeState::kDown) return Status::NodeDown("owner not up");
+  if (carried != nullptr) {
+    // The requester's replaced dirty copy of another of our pages rode the
+    // request home (Section 2.1): install it first, exactly as a ship.
+    CLOG_RETURN_IF_ERROR(HandlePageShip(from, *carried));
+    reply->carried_installed = true;
+  }
   if (!OwnsPage(pid)) {
     return Status::InvalidArgument("not the owner of " + pid.ToString());
   }
@@ -257,8 +264,10 @@ Status Node::HandleUnlockNotice(NodeId from, PageId pid) {
 Status Node::HandlePageShip(NodeId from, const Page& page) {
   if (state_ == NodeState::kDown) return Status::NodeDown("owner down");
   CLOG_RETURN_IF_ERROR(page.VerifyChecksum());
-  CLOG_RETURN_IF_ERROR(InstallShippedCopy(page, from));
+  // Read before the install: it can wait, and a task run meanwhile on the
+  // sender may drop the frame `page` refers to.
   const PageId pid = page.id();
+  CLOG_RETURN_IF_ERROR(InstallShippedCopy(page, from));
   if (!handoff_fenced_.empty() && handoff_fenced_.count(pid) != 0) {
     // Mid-handoff the shipped (kShipped) durable image must stay the
     // latest version: re-force so the offer built from it misses nothing.

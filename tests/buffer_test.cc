@@ -75,6 +75,49 @@ TEST(BufferPoolTest, InsertRechecksAfterAnEvictionCachedThePage) {
   EXPECT_EQ(pool.size(), 1u);
 }
 
+TEST(BufferPoolTest, EvictionKeepsAFrameThatChangedWhileItsHandlerWaited) {
+  // An owner's eviction handler waits on FlushNotify; a task run meanwhile
+  // installs a client's newer shipped copy into the same frame. What the
+  // handler wrote is then stale, so erasing the frame would lose the newer
+  // image: the eviction reports Busy and the frame stays cached, dirty,
+  // and evictable by a later call.
+  BufferPool pool(1);
+  int calls = 0;
+  pool.SetEvictionHandler([&](PageId, Page* page, bool) {
+    if (++calls == 1) page->BumpPsn();
+    return Status::OK();
+  });
+  ASSERT_OK_AND_ASSIGN(Page * frame, pool.Insert(P(1), Page()));
+  frame->Format(P(1), PageType::kData, 4);
+  pool.MarkDirty(P(1));
+  Status st = pool.Insert(P(2), Page()).status();
+  EXPECT_TRUE(st.IsBusy()) << st.ToString();
+  ASSERT_NE(pool.Peek(P(1)), nullptr);
+  EXPECT_EQ(pool.Peek(P(1))->psn(), 5u);
+  EXPECT_TRUE(pool.IsDirty(P(1)));
+  EXPECT_EQ(pool.evictions(), 0u);
+
+  ASSERT_OK(pool.Insert(P(2), Page()).status());
+  EXPECT_EQ(calls, 2);
+  EXPECT_FALSE(pool.Contains(P(1)));
+  EXPECT_EQ(pool.evictions(), 1u);
+}
+
+TEST(BufferPoolTest, NextVictimSkipsPinnedFramesAndADropCanCountAsEviction) {
+  BufferPool pool(2);
+  ASSERT_OK_AND_ASSIGN(Page * one, pool.Insert(P(1), Page()));
+  ASSERT_OK(pool.Insert(P(2), Page()).status());
+  EXPECT_EQ(pool.NextVictim(), P(1));
+  EXPECT_EQ(pool.Pin(P(1)), one);
+  EXPECT_EQ(pool.NextVictim(), P(2));
+  pool.Unpin(P(1));
+  pool.Drop(P(2));
+  EXPECT_EQ(pool.evictions(), 0u);
+  pool.Drop(P(1), /*as_eviction=*/true);  // Shipped home by its caller.
+  EXPECT_EQ(pool.evictions(), 1u);
+  EXPECT_EQ(pool.NextVictim(), std::nullopt);
+}
+
 TEST(BufferPoolTest, DoubleInsertFails) {
   BufferPool pool(4);
   ASSERT_OK(pool.Insert(P(1), Page()).status());

@@ -11,6 +11,17 @@ namespace {
 
 using testing::TempDir;
 
+// Page copies that travel with a lock grant or a callback, cached-page or
+// recovery reply carry whatever checksum field their frame had: no
+// receiver verifies them. The rule that keeps that safe is that every path writing
+// or shipping a frame reseals it first, so a verifier (HandlePageShip,
+// DiskManager::ReadPage) never sees a stale checksum.
+void SpoilChecksum(Page* page) {
+  const std::uint32_t garbage = 0xDEADBEEFu;
+  std::memcpy(page->data() + 4, &garbage, sizeof(garbage));
+  ASSERT_TRUE(page->VerifyChecksum().IsCorruption());
+}
+
 class ClusterTest : public ::testing::Test {
  protected:
   ClusterTest() {
@@ -151,7 +162,8 @@ TEST_F(ClusterTest, ReplacedDirtyPageShipsHomeAndFlushNotifyClearsDpt) {
     ASSERT_OK(tiny->Insert(txn, pid, "t").status());
   }
   ASSERT_OK(tiny->Commit(txn));
-  EXPECT_GE(Msgs("page_ship"), 4u);
+  // Each miss carries its dirty victim home inside the page request.
+  EXPECT_GE(tiny->metrics().CounterValue("pages.shipped_on_replacement"), 4u);
   EXPECT_EQ(tiny->dpt().size(), 8u);
 
   // Force everything at the owner; notifications clear the client's DPT
@@ -173,6 +185,88 @@ TEST_F(ClusterTest, ReplacedDirtyPageShipsHomeAndFlushNotifyClearsDpt) {
     }
   }
   EXPECT_EQ(tiny->dpt().size(), 0u);
+}
+
+TEST_F(ClusterTest, ReplacedDirtyPageRidesThePageRequestToItsOwner) {
+  // A one-frame client updates page a, then misses on page b of the same
+  // owner: the dirty copy of a travels inside the request for b, so the
+  // miss costs one round trip and no PageShip of its own (Section 2.1).
+  NodeOptions one = owner_->options();
+  one.buffer_frames = 1;
+  ASSERT_OK_AND_ASSIGN(Node * tiny, cluster_->AddNode(one));
+  ASSERT_OK_AND_ASSIGN(PageId a, owner_->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(PageId b, owner_->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(TxnId t1, tiny->Begin());
+  ASSERT_OK_AND_ASSIGN(RecordId rid, tiny->Insert(t1, a, "carried"));
+  ASSERT_OK(tiny->Commit(t1));
+  // The carried copy is resealed before it leaves, like a standalone ship:
+  // the owner verifies it on install.
+  SpoilChecksum(const_cast<BufferPool&>(tiny->pool()).Lookup(a));
+
+  const std::uint64_t requests = Msgs("lock_page_request");
+  const std::uint64_t replies = Msgs("lock_page_reply");
+  const std::uint64_t ships = Msgs("page_ship");
+  ASSERT_OK_AND_ASSIGN(TxnId t2, tiny->Begin());
+  ASSERT_OK(tiny->Insert(t2, b, "b").status());
+  EXPECT_EQ(Msgs("lock_page_request"), requests + 1);
+  EXPECT_EQ(Msgs("lock_page_reply"), replies + 1);
+  EXPECT_EQ(Msgs("page_ship"), ships);
+  ASSERT_OK(tiny->Commit(t2));
+  EXPECT_FALSE(tiny->pool().Contains(a));
+  EXPECT_EQ(tiny->pool().evictions(), 1u);
+  EXPECT_EQ(tiny->metrics().CounterValue("pages.shipped_on_replacement"), 1u);
+
+  ASSERT_OK_AND_ASSIGN(TxnId check, owner_->Begin());
+  ASSERT_OK_AND_ASSIGN(std::string v, owner_->Read(check, rid));
+  EXPECT_EQ(v, "carried");
+  ASSERT_OK(owner_->Commit(check));
+}
+
+TEST_F(ClusterTest, VictimOfAnotherOwnerStillShipsOnItsOwn) {
+  // The victim belongs to client_, the miss to owner_: the victim cannot
+  // ride the request, so it travels as a standalone PageShip.
+  NodeOptions one = owner_->options();
+  one.buffer_frames = 1;
+  ASSERT_OK_AND_ASSIGN(Node * tiny, cluster_->AddNode(one));
+  ASSERT_OK_AND_ASSIGN(PageId theirs, client_->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(PageId b, owner_->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(TxnId t1, tiny->Begin());
+  ASSERT_OK(tiny->Insert(t1, theirs, "elsewhere").status());
+  ASSERT_OK(tiny->Commit(t1));
+
+  const std::uint64_t requests = Msgs("lock_page_request");
+  const std::uint64_t ships = Msgs("page_ship");
+  ASSERT_OK_AND_ASSIGN(TxnId t2, tiny->Begin());
+  ASSERT_OK(tiny->Insert(t2, b, "b").status());
+  ASSERT_OK(tiny->Commit(t2));
+  EXPECT_EQ(Msgs("lock_page_request"), requests + 1);
+  EXPECT_EQ(Msgs("page_ship"), ships + 1);
+  EXPECT_FALSE(tiny->pool().Contains(theirs));
+  EXPECT_EQ(tiny->metrics().CounterValue("pages.shipped_on_replacement"), 1u);
+}
+
+TEST_F(ClusterTest, VictimStaysDirtyWhenItsOwnerIsDown) {
+  // The request that would carry the victim never reaches the owner: the
+  // victim stays cached and dirty, as after a failed eviction.
+  NodeOptions one = owner_->options();
+  one.buffer_frames = 1;
+  ASSERT_OK_AND_ASSIGN(Node * tiny, cluster_->AddNode(one));
+  ASSERT_OK_AND_ASSIGN(PageId a, owner_->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(PageId b, owner_->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(TxnId t1, tiny->Begin());
+  ASSERT_OK(tiny->Insert(t1, a, "kept").status());
+  ASSERT_OK(tiny->Commit(t1));
+  ASSERT_OK(cluster_->CrashNode(owner_->id()));
+
+  ASSERT_OK_AND_ASSIGN(TxnId t2, tiny->Begin());
+  Status st = tiny->Insert(t2, b, "b").status();
+  EXPECT_TRUE(st.IsNodeDown()) << st.ToString();
+  ASSERT_OK(tiny->Abort(t2));
+  EXPECT_TRUE(tiny->pool().Contains(a));
+  EXPECT_TRUE(tiny->pool().IsDirty(a));
+  EXPECT_TRUE(tiny->dpt().Contains(a));
+  EXPECT_EQ(tiny->pool().evictions(), 0u);
+  EXPECT_EQ(tiny->metrics().CounterValue("pages.shipped_on_replacement"), 0u);
 }
 
 TEST_F(ClusterTest, LocalConflictReportsBlockers) {
@@ -253,17 +347,6 @@ TEST_F(ClusterTest, CrashedOwnerRejectsRequests) {
   Status st = client_->Insert(txn, pid, "x").status();
   EXPECT_TRUE(st.IsNodeDown());
   ASSERT_OK(client_->Abort(txn));
-}
-
-// Page copies that travel with a lock grant or a callback, cached-page or
-// recovery reply carry whatever checksum field their frame had: no
-// receiver verifies them. The rule that keeps that safe is that every path writing
-// or shipping a frame reseals it first, so a verifier (HandlePageShip,
-// DiskManager::ReadPage) never sees a stale checksum.
-void SpoilChecksum(Page* page) {
-  const std::uint32_t garbage = 0xDEADBEEFu;
-  std::memcpy(page->data() + 4, &garbage, sizeof(garbage));
-  ASSERT_TRUE(page->VerifyChecksum().IsCorruption());
 }
 
 TEST_F(ClusterTest, EvictedRemoteCopyIsResealedBeforeItShips) {

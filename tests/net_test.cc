@@ -15,7 +15,7 @@ using testing::TempDir;
 class StubService : public NodeService {
  public:
   Status HandleLockPage(NodeId, PageId, LockMode, bool want_page,
-                        LockPageReply* reply) override {
+                        const Page*, LockPageReply* reply) override {
     ++lock_calls;
     reply->granted = true;
     if (want_page) {

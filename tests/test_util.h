@@ -16,14 +16,13 @@
 
 namespace clog::testing {
 
-/// Creates a unique scratch directory for one test and removes it on
-/// destruction.
+/// Creates a unique scratch directory for one test under `base` (the
+/// system temp directory by default) and removes it on destruction.
 class TempDir {
  public:
-  TempDir() {
-    std::string tmpl = std::filesystem::temp_directory_path() /
-                       "clog_test_XXXXXX";
-    std::string buf = tmpl;
+  explicit TempDir(const std::filesystem::path& base =
+                       std::filesystem::temp_directory_path()) {
+    std::string buf = base / "clog_test_XXXXXX";
     char* got = ::mkdtemp(buf.data());
     EXPECT_NE(got, nullptr);
     path_ = buf;
