@@ -52,11 +52,11 @@ for i in $(seq 1 "$REPEAT"); do
   ctest --test-dir "$BUILD_DIR" -L restore --output-on-failure
 done
 
-# Adaptive suite: the execution passes above already hammer the
-# dependency-parallel redo worker pool (the cross-mode adaptive recovery
-# test runs real workers under contention); one pass over the adaptive
-# torture shards adds the full schedule-driven mix — upgrades, backfills,
-# skip classification, and mid-recovery re-entry — on top.
+# Adaptive suite: the execution passes above already run chain redo in
+# real mode (the cross-mode adaptive recovery test); one pass over the
+# adaptive loser tests and torture shards adds the full schedule-driven
+# mix — upgrades, backfills, skip classification, and mid-recovery
+# re-entry — on top.
 echo "== ctest -L adaptive under TSan"
 ctest --test-dir "$BUILD_DIR" -L adaptive --output-on-failure
 

@@ -45,9 +45,14 @@ class BufferPool {
   /// True if `pid` is cached (no LRU effect).
   bool Contains(PageId pid) const;
 
-  /// Read-only view of the cached frame, or nullptr on miss. No LRU effect;
-  /// used by invariant checkers that must not perturb replacement order.
+  /// The cached frame, or nullptr on miss. No LRU effect and no hit or miss
+  /// counted: invariant checkers use it, and node code finds a frame again
+  /// with it after a call that can wait.
   const Page* Peek(PageId pid) const {
+    auto it = frames_.find(pid);
+    return it == frames_.end() ? nullptr : it->second.page.get();
+  }
+  Page* Peek(PageId pid) {
     auto it = frames_.find(pid);
     return it == frames_.end() ? nullptr : it->second.page.get();
   }

@@ -310,10 +310,9 @@ class TortureRun {
     }
     if (options_.adaptive) {
       // Strategy-mix schedules: the cluster default is adaptive (DoTxn
-      // overrides a seeded fraction back to physical), and the redo
-      // scheduler handles every self-only page during restarts. Two
-      // workers keep the real-mode pool path honest; the simulation
-      // replays the chains sequentially either way.
+      // overrides a seeded fraction back to physical), and the chain
+      // engine (any non-zero redo_workers) redoes every self-only page
+      // during restarts.
       copts.node_defaults.logging_policy.WithStrategy(LogStrategy::kAdaptive)
           .WithRedoWorkers(2);
       Event("adaptive on");

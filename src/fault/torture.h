@@ -44,9 +44,8 @@ struct TortureOptions {
   /// parked as an indeterminate commit (resolved at the next restart).
   bool group_commit = false;
   /// Adaptive-logging mode: the cluster runs with
-  /// LoggingPolicy strategy=kAdaptive and dependency-parallel redo
-  /// (redo_workers=2; in simulation the chains replay sequentially in
-  /// deterministic order), and each harness transaction draws a seeded
+  /// LoggingPolicy strategy=kAdaptive and chain redo (redo_workers=2, which
+  /// selects the chain engine), and each harness transaction draws a seeded
   /// per-transaction strategy override so compact logical records,
   /// physical records, upgrades, and backfills all interleave in one log.
   /// Two extra checks ride on top of the base invariant set: the invariant

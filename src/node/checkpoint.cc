@@ -65,10 +65,11 @@ Status Node::Checkpoint() {
                  static_cast<std::uint32_t>(end.att.size()));
   }
 
-  // Fuzzy archive pass, strictly after the force: every update in any page
-  // image copied below is covered by a durable log record — locally because
-  // the force just ran, remotely because WalBeforePageLeaves held when the
-  // page was shipped here. That ordering is the archive's WAL rule.
+  // Fuzzy archive pass, after the force: every update in any page image
+  // copied below is covered by a durable log record — locally because
+  // ArchivePass runs each dirty frame through WalBeforePageLeaves (which
+  // finds this force already done), remotely because the sender's gate
+  // held when the page was shipped here. That is the archive's WAL rule.
   if (archive_.is_open()) CLOG_RETURN_IF_ERROR(ArchivePass());
   return Status::OK();
 }

@@ -78,14 +78,7 @@ Status Node::PrepareDeparture() {
   // Dirty remote copies travel home first (the Section 2.1 steal rules),
   // so the owners hold every update this node ever made.
   for (const LockListEntry& e : lock_cache_.NodeLocks()) {
-    const PageId pid = e.pid;
-    if (OwnsPage(pid)) continue;
-    Page* cached = pool_.Lookup(pid);
-    if (cached == nullptr || !pool_.IsDirty(pid)) continue;
-    CLOG_RETURN_IF_ERROR(PrepareEviction(pid, cached));
-    CLOG_RETURN_IF_ERROR(network_->PageShip(id_, OwnerOf(pid), *cached));
-    dpt_.OnReplaced(pid, cached->psn(), log_.end_lsn());
-    pool_.MarkClean(pid);
+    if (!OwnsPage(e.pid)) CLOG_RETURN_IF_ERROR(ShipDirtyCopy(e.pid));
   }
   // This node's log dies with it, so every remote page it is still a redo
   // source for must become durable at its owner before the leave commits
@@ -158,17 +151,13 @@ Status Node::HandoffShip(PageId pid) {
     return Status::FailedPrecondition("handoff not prepared for " +
                                       pid.ToString());
   }
+  // The quiet force: the same WAL gate and durable write as ForceOwnPage,
+  // but *no* FlushNotify — the replacer set and its un-advanced RedoLSNs
+  // travel to the target with the offer, and the target notifies after
+  // adoption (the Section 2.5 RedoLSN transfer).
+  CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid));
   Page* cached = pool_.Lookup(pid);
   if (cached != nullptr && pool_.IsDirty(pid)) {
-    // The quiet force: same steal fence + WAL + durable write as
-    // ForceOwnPage, but *no* FlushNotify — the replacer set and its
-    // un-advanced RedoLSNs travel to the target with the offer, and the
-    // target notifies after adoption (the Section 2.5 RedoLSN transfer).
-    CLOG_RETURN_IF_ERROR(PrepareSteal(pid));
-    if (options_.logging_mode != LoggingMode::kShipToOwner &&
-        cached->page_lsn() >= log_.flushed_lsn()) {
-      CLOG_RETURN_IF_ERROR(ForceLog(cached->page_lsn()));
-    }
     CLOG_RETURN_IF_ERROR(WriteDurablePage(pid, cached));
     pool_.MarkClean(pid);
     dpt_.Remove(pid);

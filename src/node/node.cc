@@ -388,15 +388,17 @@ Status Node::RequestRemotePage(NodeId owner, PageId pid, LockMode mode,
       pool_.Peek(*victim)->page_lsn() >= log_.flushed_lsn()) {
     return network_->LockPage(id_, owner, pid, mode, want_page, reply);
   }
-  // The victim stays cached and pinned for the call, so no task run
-  // meanwhile can evict it a second way.
+  // The gate has nothing to force or backfill for another owner's page
+  // whose records are durable, so it does not wait. The victim then stays
+  // cached and pinned for the call, so no task run meanwhile can evict it
+  // a second way.
   const PageId v = *victim;
+  CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(v));
   Page* frame = pool_.Pin(v);
-  Status st = PrepareEviction(v, frame);
+  frame->SealChecksum();
   const Psn psn = frame->psn();
-  if (st.ok()) {
-    st = network_->LockPage(id_, owner, pid, mode, want_page, reply, frame);
-  }
+  Status st =
+      network_->LockPage(id_, owner, pid, mode, want_page, reply, frame);
   pool_.Unpin(v);
   if (reply->carried_installed && FinishShipHome(v, psn, owner)) {
     pool_.Drop(v, /*as_eviction=*/true);
@@ -481,32 +483,6 @@ Result<Page*> Node::AcquireRecord(Transaction* txn, RecordId rid,
 // ---------------------------------------------------------------------------
 // Logged updates, redo application, undo
 // ---------------------------------------------------------------------------
-
-Status Node::ApplyRedo(const LogRecord& rec, Page* page) {
-  if (rec.psn_before != page->psn()) {
-    return Status::FailedPrecondition(
-        "psn mismatch applying " + rec.ToString() + " to page at psn " +
-        std::to_string(page->psn()));
-  }
-  SlottedPage sp(page);
-  switch (rec.op) {
-    case RecordOp::kInsert:
-      CLOG_RETURN_IF_ERROR(sp.InsertAt(rec.slot, rec.redo_image));
-      break;
-    case RecordOp::kUpdate:
-      CLOG_RETURN_IF_ERROR(sp.Update(rec.slot, rec.redo_image));
-      break;
-    case RecordOp::kDelete:
-      CLOG_RETURN_IF_ERROR(sp.Delete(rec.slot));
-      break;
-    case RecordOp::kFormat:
-      page->Format(rec.page, PageType::kData, rec.psn_before);
-      sp.InitBody();
-      break;
-  }
-  page->BumpPsn();
-  return Status::OK();
-}
 
 Status Node::AppendWithReclaim(const LogRecord& rec, Lsn* lsn) {
   Status st = log_.Append(rec, lsn);
@@ -777,18 +753,12 @@ Status Node::Commit(TxnId txn_id) {
       // Baseline B2 (Rdb/VMS-like): every updated page is forced to the
       // owner's disk before the commit record is written.
       for (PageId pid : txn->updated_pages) {
-        Page* page = pool_.Lookup(pid);
-        if (page == nullptr || !pool_.IsDirty(pid)) continue;
-        CLOG_RETURN_IF_ERROR(log_.Flush(page->page_lsn()));
+        if (!pool_.IsDirty(pid)) continue;
         if (OwnsPage(pid)) {
           CLOG_RETURN_IF_ERROR(ForceOwnPage(pid));
         } else {
-          const NodeId owner = OwnerOf(pid);
-          page->SealChecksum();
-          CLOG_RETURN_IF_ERROR(network_->PageShip(id_, owner, *page));
-          dpt_.OnReplaced(pid, page->psn(), log_.end_lsn());
-          CLOG_RETURN_IF_ERROR(network_->FlushRequest(id_, owner, pid));
-          pool_.MarkClean(pid);
+          CLOG_RETURN_IF_ERROR(ShipDirtyCopy(pid));
+          CLOG_RETURN_IF_ERROR(network_->FlushRequest(id_, OwnerOf(pid), pid));
         }
       }
       LogRecord commit;
@@ -1179,29 +1149,6 @@ std::vector<TxnId> Node::LastBlockers(TxnId txn_id) const {
 // Eviction policy and flush bookkeeping
 // ---------------------------------------------------------------------------
 
-Status Node::PrepareEviction(PageId pid, Page* page) {
-  if (options_.logging_mode == LoggingMode::kShipToOwner) {
-    // B1 WAL-to-owner: the owner's log must cover the page before the page
-    // arrives there.
-    for (const Transaction* t : txns_.Active()) {
-      CLOG_RETURN_IF_ERROR(ShipPendingRecords(
-          const_cast<Transaction*>(t), /*force=*/false, /*only_page=*/&pid));
-    }
-  } else {
-    // Adaptive: stealing a page with live logical records would put
-    // uncommitted, un-undoable bytes on disk. Backfill the owning
-    // transactions' before-images (or force their parked commits) first.
-    CLOG_RETURN_IF_ERROR(PrepareSteal(pid));
-    // WAL: all records describing the page must be durable before the page
-    // leaves the cache (Section 2.1).
-    if (page->page_lsn() >= log_.flushed_lsn()) {
-      CLOG_RETURN_IF_ERROR(ForceLog(page->page_lsn()));
-    }
-  }
-  if (!OwnsPage(pid)) page->SealChecksum();
-  return Status::OK();
-}
-
 bool Node::FinishShipHome(PageId pid, Psn psn, NodeId owner) {
   // A task run while the transfer waited may have dropped or updated the
   // frame; its own bookkeeping then stands. OnReplaced at the older PSN
@@ -1232,7 +1179,11 @@ Status Node::OnEviction(PageId pid, Page* page, bool dirty) {
     // Clean pages just leave; the cached node lock stays cached.
     return Status::OK();
   }
-  CLOG_RETURN_IF_ERROR(PrepareEviction(pid, page));
+  CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid));
+  // B1's log ship can wait, and a callback run meanwhile may take the
+  // dirty copy along and drop the frame.
+  page = pool_.Peek(pid);
+  if (page == nullptr) return Status::OK();
   if (OwnsPage(pid)) {
     // Own page: write in place. Synchronous, because the DPT entry is
     // dropped on the strength of this write.
@@ -1244,6 +1195,7 @@ Status Node::OnEviction(PageId pid, Page* page, bool dirty) {
   }
   // Remote page: the copy travels home to the owner on its own (a page
   // request to the same owner carries it instead, RequestRemotePage).
+  page->SealChecksum();
   const NodeId owner = OwnerOf(pid);
   const Psn psn = page->psn();
   CLOG_RETURN_IF_ERROR(network_->PageShip(id_, owner, *page));
@@ -1261,16 +1213,10 @@ Status Node::ForceOwnPage(PageId pid) {
   // Forcing a restoring page must first give it something honest to force;
   // no-ops when the force is issued by the rebuild itself.
   CLOG_RETURN_IF_ERROR(EnsureRestored(pid));
+  CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid));
   Psn flushed_psn;
   Page* cached = pool_.Lookup(pid);
   if (cached != nullptr && pool_.IsDirty(pid)) {
-    // Same steal barrier as eviction: no uncommitted logical bytes reach
-    // the disk without their before-images (or commit) in the durable log.
-    CLOG_RETURN_IF_ERROR(PrepareSteal(pid));
-    if (options_.logging_mode != LoggingMode::kShipToOwner &&
-        cached->page_lsn() >= log_.flushed_lsn()) {
-      CLOG_RETURN_IF_ERROR(ForceLog(cached->page_lsn()));
-    }
     CLOG_RETURN_IF_ERROR(WriteDurablePage(pid, cached));
     pool_.MarkClean(pid);
     dpt_.Remove(pid);
@@ -1295,9 +1241,10 @@ Status Node::ShipDirtyCopy(PageId pid) {
   if (OwnsPage(pid)) {
     return Status::InvalidArgument("own pages are forced, not shipped");
   }
+  CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid));
   Page* page = pool_.Lookup(pid);
   if (page == nullptr || !pool_.IsDirty(pid)) return Status::OK();
-  CLOG_RETURN_IF_ERROR(PrepareEviction(pid, page));
+  page->SealChecksum();
   const NodeId owner = OwnerOf(pid);
   const Psn psn = page->psn();
   CLOG_RETURN_IF_ERROR(network_->PageShip(id_, owner, *page));
@@ -1462,12 +1409,10 @@ Status Node::ArchivePass() {
     // slot must not overwrite the archive's last pre-handoff copy.
     if (handoff_.IsCeded(pid)) continue;
     // Newest local version: the cached frame (possibly dirty — the archive
-    // is fuzzy) if present, else the disk version. A dirty frame may hold
-    // live logical updates; archiving it is a steal (the image could seed a
-    // media rebuild), so the same barrier applies.
-    if (pool_.Peek(pid) != nullptr && pool_.IsDirty(pid)) {
-      CLOG_RETURN_IF_ERROR(PrepareSteal(pid));
-    }
+    // is fuzzy) if present, else the disk version. Archiving a dirty frame
+    // is a steal (the image could seed a media rebuild), so it passes the
+    // WAL gate like any other image that leaves the cache.
+    CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid));
     const Page* src = pool_.Peek(pid);
     Page from_disk;
     if (src == nullptr) {

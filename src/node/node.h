@@ -122,7 +122,7 @@ class Node : public NodeService {
   Status HandoffPrepare(PageId pid, NodeId target);
 
   /// Phase 2: quiet durable force — makes the local durable copy current
-  /// (steal fence + WAL + page write) *without* notifying replacers (their
+  /// (WalBeforePageLeaves + page write) *without* notifying replacers (their
   /// un-advanced RedoLSNs travel to the target with the offer), then
   /// durably marks the handoff shipped.
   Status HandoffShip(PageId pid);
@@ -152,11 +152,11 @@ class Node : public NodeService {
 
   /// Graceful-leave epilogue, run after every owned page has been drained:
   /// returns every cached node-level lock on other owners' pages (shipping
-  /// dirty copies home under WAL first) and asks those owners to force the
-  /// pages durable, so this node's log stops being anyone's redo source
-  /// (Section 2.5) and no owner's global lock table keeps an entry for a
-  /// node that will never answer a callback again. Refuses while local
-  /// transactions are active.
+  /// dirty copies home through ShipDirtyCopy first) and asks those owners
+  /// to force the pages durable, so this node's log stops being anyone's
+  /// redo source (Section 2.5) and no owner's global lock table keeps an
+  /// entry for a node that will never answer a callback again. Refuses
+  /// while local transactions are active.
   Status PrepareDeparture();
 
   /// Ownership ledger introspection (tests, torture invariants).
@@ -478,12 +478,17 @@ class Node : public NodeService {
   /// PSN the image reached.
   Status LandRebuiltPage(PageId pid, const Page& image, const PsnLists& lists);
 
-  /// WAL for page transfer: before any image of `pid` leaves this node
-  /// (grant-time transfer, callback, ship, recovery fetch), every local
-  /// log record describing it must be durable — otherwise a page whose
-  /// history includes records lost with a crashed log tail could never be
-  /// redone in PSN order.
-  Status WalBeforePageLeaves(PageId pid, const Page* page);
+  /// The WAL rule (Section 2.1) for every image of `pid` that leaves this
+  /// node's cache, and its only implementation: the records describing the
+  /// image must be durable first, or a page whose history includes records
+  /// lost with a crashed log tail could never be redone in PSN order.
+  /// No-op unless `pid` is cached dirty. B1 ships this node's pending
+  /// records for the page to the owner's log; every other mode runs the
+  /// steal barrier (PrepareSteal) and forces the log up to the page LSN.
+  /// Every exit calls it first (DESIGN.md §4, decision 5, lists them). Only
+  /// B1's gate can wait (on its log ship, or on the log-space reclamation
+  /// an append may run), so each caller finds its frame after the gate.
+  Status WalBeforePageLeaves(PageId pid);
 
   /// Logs one update, applies it, maintains PSN/DPT/dirty bits.
   Status LoggedUpdate(Transaction* txn, Page* page, RecordOp op, SlotId slot,
@@ -501,10 +506,10 @@ class Node : public NodeService {
   /// stash is empty) and marks it upgraded. Idempotent.
   Status UpgradeTxnToPhysical(Transaction* txn);
 
-  /// Page-steal fence: before an image of own page `pid` containing live
-  /// logical updates becomes durable anywhere (eviction write, force,
-  /// archive copy), every contributing transaction is upgraded and the
-  /// backfill records are forced. One branch when no logical txns live.
+  /// Page-steal fence, run by WalBeforePageLeaves: before an image of own
+  /// page `pid` containing live logical updates leaves the cache, every
+  /// contributing transaction is upgraded and the backfill records are
+  /// forced. One branch when no logical txns live.
   Status PrepareSteal(PageId pid);
 
   /// Stamps an adaptive transaction's commit record: the logical flag and
@@ -525,13 +530,10 @@ class Node : public NodeService {
   /// Rolls back to `target_lsn` exclusive (kNullLsn = full rollback).
   Status RollbackTo(Transaction* txn, Lsn target_lsn);
 
-  /// Buffer pool eviction policy (write-in-place / ship-to-owner + WAL).
+  /// Buffer pool eviction policy: WalBeforePageLeaves, then write in place
+  /// (own page) or seal and ship to the owner. Ships inline rather than
+  /// through ShipDirtyCopy, so the frame's dirty bit reaches PAGE_EVICT.
   Status OnEviction(PageId pid, Page* page, bool dirty);
-
-  /// Section 2.1 steal rule before dirty `page` leaves the cache, by write
-  /// or by either ship transport: its log records are durable (B1: shipped
-  /// to the owner), and a remote copy is sealed.
-  Status PrepareEviction(PageId pid, Page* page);
 
   /// Bookkeeping once a replaced copy of remote `pid` at `psn` reached
   /// `owner`: OnReplaced, pages.shipped_on_replacement and PAGE_SHIP.
@@ -545,16 +547,19 @@ class Node : public NodeService {
   /// Owner-side: force own page to disk and notify replacers.
   Status ForceOwnPage(PageId pid);
 
-  /// Ships a copy of a dirty remotely-owned page to its owner without
-  /// evicting it (WAL first); used by Section 2.5 log-space pressure when
-  /// the victim page is pinned or worth keeping cached.
+  /// Ships a sealed copy of a dirty remotely-owned page to its owner
+  /// without evicting it (WalBeforePageLeaves first) and marks it clean.
+  /// Used by Section 2.5 log-space pressure when the victim page is pinned
+  /// or worth keeping cached, by B2's commit, by a graceful leave and by
+  /// the log-loss flush hygiene.
   Status ShipDirtyCopy(PageId pid);
 
   /// Recomputes the log reclaim horizon from DPT and active transactions.
   void AdvanceReclaimHorizon();
 
-  /// Baseline B1: ship `txn`'s pending records covering `pid` (WAL-to-owner
-  /// before the page moves), or all pending at commit.
+  /// Baseline B1: ship `txn`'s pending records covering `only_page`
+  /// (WAL-to-owner before the page moves; only WalBeforePageLeaves passes
+  /// a page), or all pending at commit.
   Status ShipPendingRecords(Transaction* txn, bool force,
                             const PageId* only_page);
 
@@ -581,9 +586,6 @@ class Node : public NodeService {
   void ChargeDiskWrite();
   void ChargeLogForce();
   void ChargeCpuOp();
-
-  /// Redo applier shared by restart recovery and HandleRecoverPage.
-  static Status ApplyRedo(const LogRecord& rec, Page* page);
 
   NodeId id_;
   NodeOptions options_;

@@ -90,7 +90,7 @@ enum class LogStrategy : std::uint8_t {
 std::string_view LogStrategyName(LogStrategy s);
 
 /// The unified logging policy: strategy selection, commit-force coalescing,
-/// archiving, and recovery parallelism in one value type, replacing
+/// archiving, and the restart redo engine in one value type, replacing
 /// the scattered per-feature option structs.
 ///
 /// Named setters chain, so call sites read as one declaration:
@@ -98,13 +98,13 @@ std::string_view LogStrategyName(LogStrategy s);
 ///   opts.logging_policy = LoggingPolicy()
 ///       .WithStrategy(LogStrategy::kAdaptive)
 ///       .WithGroupCommit(true)
-///       .WithRedoWorkers(4);
+///       .WithRedoWorkers(1);
 struct LoggingPolicy {
   LogStrategy strategy = LogStrategy::kPhysical;
-  /// Dependency-parallel redo: number of worker threads replaying
-  /// independent transaction chains during restart recovery (real
-  /// execution mode; in sim the chains replay sequentially in a
-  /// deterministic order). 0 = classic PSN-order redo everywhere.
+  /// Restart redo engine for pages whose whole history is in the local
+  /// log: 0 = the classic per-page rescan; non-zero = one log pass that
+  /// replays independent transaction chains on the restarting node's
+  /// thread (recovery/redo_scheduler.h). Not a thread count.
   std::size_t redo_workers = 0;
   GroupCommitPolicy group_commit;
   ArchiveOptions archive;

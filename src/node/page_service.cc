@@ -88,8 +88,8 @@ Status Node::HandleLockPage(NodeId from, PageId pid, LockMode mode,
     }
     reply->granted = true;
     if (want_page) {
+      CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid));
       CLOG_ASSIGN_OR_RETURN(Page * latest, OwnLatestPage(pid));
-      CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid, latest));
       reply->page = std::make_shared<Page>(*latest);
     }
     return Status::OK();
@@ -173,25 +173,30 @@ Status Node::HandleLockPage(NodeId from, PageId pid, LockMode mode,
   }
   ctr_lock_grants_->Add(1);
   if (want_page) {
+    CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid));
     CLOG_ASSIGN_OR_RETURN(Page * latest, OwnLatestPage(pid));
-    CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid, latest));
     reply->page = std::make_shared<Page>(*latest);
   }
   return Status::OK();
 }
 
-Status Node::WalBeforePageLeaves(PageId pid, const Page* page) {
-  if (!options_.has_local_log) return Status::OK();
-  if (page == nullptr || !pool_.IsDirty(pid)) return Status::OK();
+Status Node::WalBeforePageLeaves(PageId pid) {
+  if (!pool_.IsDirty(pid)) return Status::OK();
   if (options_.logging_mode == LoggingMode::kShipToOwner) {
+    // B1 WAL-to-owner: the owner's log must cover the page before the page
+    // arrives there.
     for (const Transaction* t : txns_.Active()) {
       CLOG_RETURN_IF_ERROR(ShipPendingRecords(const_cast<Transaction*>(t),
                                               /*force=*/false, &pid));
     }
     return Status::OK();
   }
-  if (page->page_lsn() >= log_.flushed_lsn()) {
-    CLOG_RETURN_IF_ERROR(ForceLog(page->page_lsn()));
+  // Adaptive: an image with live logical updates must not become durable
+  // anywhere before their before-images (or commit) are in the log.
+  CLOG_RETURN_IF_ERROR(PrepareSteal(pid));
+  const Page* page = pool_.Peek(pid);
+  if (page != nullptr && page->page_lsn() >= log_.flushed_lsn()) {
+    return ForceLog(page->page_lsn());
   }
   return Status::OK();
 }
@@ -229,18 +234,11 @@ Status Node::HandleCallback(NodeId from, PageId pid, LockMode downgrade_to,
     return Status::OK();
   }
 
+  // The dirty copy travels with the callback reply so the owner can hand
+  // the current version to the requester. WAL first.
+  CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid));
   Page* cached = pool_.Lookup(pid);
   if (cached != nullptr && pool_.IsDirty(pid)) {
-    // The dirty copy travels with the callback reply so the owner can hand
-    // the current version to the requester. WAL first.
-    if (options_.logging_mode == LoggingMode::kShipToOwner) {
-      for (const Transaction* t : txns_.Active()) {
-        CLOG_RETURN_IF_ERROR(ShipPendingRecords(const_cast<Transaction*>(t),
-                                                /*force=*/false, &pid));
-      }
-    } else if (cached->page_lsn() >= log_.flushed_lsn()) {
-      CLOG_RETURN_IF_ERROR(ForceLog(cached->page_lsn()));
-    }
     reply->page = std::make_shared<Page>(*cached);
     reply->page_psn = cached->psn();
     dpt_.OnReplaced(pid, cached->psn(), log_.end_lsn());
@@ -383,11 +381,11 @@ Status Node::HandleFetchCachedPage(NodeId from, PageId pid,
                                    std::shared_ptr<Page>* page) {
   page->reset();
   if (state_ == NodeState::kDown) return Status::NodeDown("peer down");
+  CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid));
   Page* cached = pool_.Lookup(pid);
   if (cached == nullptr) {
     return Status::NotFound("page not cached: " + pid.ToString());
   }
-  CLOG_RETURN_IF_ERROR(WalBeforePageLeaves(pid, cached));
   *page = std::make_shared<Page>(*cached);
   return Status::OK();
 }

@@ -317,15 +317,14 @@ Status RestartRecovery::RecoverOwnPages() {
   CLOG_RETURN_IF_ERROR(
       node_->GatherPsnLists(pages_per_node, /*full_history=*/false, &lists));
 
-  // Dependency-parallel redo (recovery/redo_scheduler.h): pages whose only
-  // contributor is this node need no Section 2.3.4 bouncing — their whole
-  // history is in the local log. With redo workers configured they skip
-  // the per-page RecoverPage rounds: one raw scan routes their frames into
-  // page-disjoint transaction chains, replayed by the worker pool (real
-  // mode) or in deterministic chain order (simulation). Everything else —
-  // multi-node histories, and self-only ones whose first run starts above
-  // the base (a destroyed log held the gap, so the replay poisons them) —
-  // keeps the bouncing path.
+  // Chain redo (recovery/redo_scheduler.h): pages whose only contributor
+  // is this node need no Section 2.3.4 bouncing — their whole history is
+  // in the local log. With a non-zero redo_workers they skip the per-page
+  // RecoverPage rounds: one raw scan routes their frames into page-disjoint
+  // transaction chains, replayed one after another on this thread.
+  // Everything else — multi-node histories, and self-only ones whose first
+  // run starts above the base (a destroyed log held the gap, so the replay
+  // poisons them) — keeps the bouncing path.
   if (node_->options_.logging_policy.redo_workers > 0 && !work.empty()) {
     std::vector<WorkItem> bounced;
     std::vector<WorkItem> scheduled;
@@ -352,11 +351,7 @@ Status RestartRecovery::RecoverOwnPages() {
     }
 
     if (!tasks.empty()) {
-      Executor* exec = node_->network_->executor();
-      RedoScheduler scheduler(
-          &node_->log_, &node_->recovery_skip_txns_,
-          node_->options_.logging_policy.redo_workers,
-          /*use_threads=*/exec != nullptr && exec->real_threads());
+      RedoScheduler scheduler(&node_->log_, &node_->recovery_skip_txns_);
       RedoScheduleStats rstats;
       CLOG_RETURN_IF_ERROR(scheduler.Run(&tasks, &rstats));
       stats_.redo_chains += rstats.chains;

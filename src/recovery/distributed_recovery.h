@@ -54,7 +54,7 @@ class RestartRecovery {
     std::uint64_t losers_undone = 0;
     std::uint64_t clean_candidates = 0;    ///< Candidates already on disk.
     std::uint64_t sim_ns = 0;              ///< Simulated time of the round.
-    // --- Adaptive logging / dependency-parallel redo ---
+    // --- Adaptive logging / chain redo ---
     std::uint64_t logical_losers_skipped = 0;  ///< Pure-logical: END only.
     std::uint64_t redo_chains = 0;         ///< Independent chains scheduled.
     std::uint64_t parallel_pages = 0;      ///< Pages redone by the scheduler.

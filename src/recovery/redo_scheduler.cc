@@ -1,13 +1,8 @@
 #include "recovery/redo_scheduler.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cstring>
 #include <map>
 #include <numeric>
-#include <thread>
 
-#include "storage/slotted_page.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
 
@@ -59,38 +54,13 @@ class Dsu {
   std::vector<std::size_t> parent_;
 };
 
-/// One routed frame: checksummed by the scan, decoded by the worker.
+/// One routed frame: checksummed by the scan, decoded by the replay.
 struct RoutedFrame {
-  Lsn lsn = kNullLsn;
   std::size_t task = 0;  ///< Index into *tasks.
   std::string body;
 };
 
-/// Same redo semantics as Node::ApplyRedo, free of Node so workers can run
-/// it off the node's thread (pure page-bytes mutation).
-Status ApplyFrame(const LogRecord& rec, Page* page) {
-  SlottedPage sp(page);
-  switch (rec.op) {
-    case RecordOp::kInsert:
-      CLOG_RETURN_IF_ERROR(sp.InsertAt(rec.slot, rec.redo_image));
-      break;
-    case RecordOp::kUpdate:
-      CLOG_RETURN_IF_ERROR(sp.Update(rec.slot, rec.redo_image));
-      break;
-    case RecordOp::kDelete:
-      CLOG_RETURN_IF_ERROR(sp.Delete(rec.slot));
-      break;
-    case RecordOp::kFormat:
-      page->Format(rec.page, PageType::kData, rec.psn_before);
-      sp.InitBody();
-      break;
-  }
-  page->BumpPsn();
-  return Status::OK();
-}
-
-/// Replays one chain: decode, apply-when-PSN-matches, in LSN order. Tasks
-/// are page-disjoint across chains, so no synchronization.
+/// Replays one chain: decode, apply-when-PSN-matches, in LSN order.
 Status ReplayChain(const std::vector<RoutedFrame*>& frames,
                    std::vector<RedoPageTask>* tasks) {
   for (const RoutedFrame* f : frames) {
@@ -98,7 +68,7 @@ Status ReplayChain(const std::vector<RoutedFrame*>& frames,
     CLOG_RETURN_IF_ERROR(LogRecord::DecodeFrom(f->body, &rec));
     RedoPageTask& task = (*tasks)[f->task];
     if (rec.psn_before == task.page->psn()) {
-      CLOG_RETURN_IF_ERROR(ApplyFrame(rec, task.page));
+      CLOG_RETURN_IF_ERROR(ApplyRedo(rec, task.page));
       ++task.applied;
     }
     // Below the page's PSN: already reflected in the base image. Above it
@@ -159,7 +129,7 @@ Status RedoScheduler::Run(std::vector<RedoPageTask>* tasks,
             skip_txns_->count(txn) != 0;
         if (!skip) {
           dsu.Union(it->second, vertex_of(txn));
-          routed.push_back(RoutedFrame{lsn, it->second, body.ToString()});
+          routed.push_back(RoutedFrame{it->second, body.ToString()});
         }
       }
     } else if (type8 == static_cast<std::uint8_t>(LogRecordType::kCommit)) {
@@ -186,51 +156,11 @@ Status RedoScheduler::Run(std::vector<RedoPageTask>* tasks,
   }
   stats->chains = chains.size();
 
-  // Deterministic replay order: by each chain's first frame LSN. Chains
-  // are page-disjoint so the order cannot change any page's bytes; it
-  // keeps the simulation schedule reproducible and spreads long chains
-  // first across the real worker pool.
-  std::vector<std::vector<RoutedFrame*>*> order;
-  order.reserve(chains.size());
-  for (auto& [root, frames] : chains) order.push_back(&frames);
-  std::sort(order.begin(), order.end(),
-            [](const auto* a, const auto* b) {
-              return a->front()->lsn < b->front()->lsn;
-            });
-
-  // --- Replay: worker pool in real mode, sequential in simulation. ---
-  Status first_error;
-  const std::uint32_t pool =
-      std::min<std::uint32_t>(workers_,
-                              static_cast<std::uint32_t>(order.size()));
-  if (use_threads_ && pool > 1) {
-    std::vector<Status> results(order.size());
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (std::uint32_t w = 0; w < pool; ++w) {
-      threads.emplace_back([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= order.size()) return;
-          results[i] = ReplayChain(*order[i], tasks);
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (const Status& st : results) {
-      if (!st.ok()) {
-        first_error = st;
-        break;
-      }
-    }
-  } else {
-    for (auto* frames : order) {
-      first_error = ReplayChain(*frames, tasks);
-      if (!first_error.ok()) break;
-    }
+  // --- Replay chain by chain. Chains are page-disjoint, so their order
+  // cannot change any page's bytes. ---
+  for (const auto& [root, frames] : chains) {
+    CLOG_RETURN_IF_ERROR(ReplayChain(frames, tasks));
   }
-  CLOG_RETURN_IF_ERROR(first_error);
 
   for (const RedoPageTask& t : *tasks) stats->applied += t.applied;
   return Status::OK();

@@ -11,20 +11,18 @@
 #include "wal/log_manager.h"
 
 /// \file
-/// Dependency-parallel redo (docs/RECOVERY_WALKTHROUGH.md "Parallel
-/// redo"). Restart redo of pages whose entire history lives in the local
-/// log needs no Section 2.3.4 cross-node bouncing — but the legacy path
-/// still replays them one page at a time, rescanning the log per page.
-/// The scheduler instead makes ONE raw pass over the log (a LogCursor,
-/// which reads in blocks and checks every frame's CRC), routes each
-/// update frame (undecoded — a 36-byte header peek) to its page, and
-/// partitions the work into independent chains: the connected components
-/// of the bipartite transaction/page graph, with commit-dependency edges
+/// Chain redo (docs/RECOVERY_WALKTHROUGH.md "Parallel redo"). Restart
+/// redo of pages whose entire history lives in the local log needs no
+/// Section 2.3.4 cross-node bouncing — but the legacy path still replays
+/// them one page at a time, rescanning the log per page. The scheduler
+/// instead makes ONE raw pass over the log (a LogCursor, which reads in
+/// blocks and checks every frame's CRC), routes each update frame
+/// (undecoded — a 36-byte header peek) to its page, and partitions the
+/// work into independent chains: the connected components of the
+/// bipartite transaction/page graph, with commit-dependency edges
 /// (CommitDep entries on adaptive commit records) merged in. Chains touch
-/// disjoint page sets by construction, so workers replay them with no
-/// locks: each worker decodes and applies its chains' frames onto private
-/// page images. Real-threads mode uses a worker pool; the
-/// simulation replays chains sequentially in deterministic order.
+/// disjoint page sets by construction; the restarting node's thread
+/// decodes and applies them one after another onto the tasks' page images.
 
 namespace clog {
 
@@ -41,7 +39,7 @@ struct RedoPageTask {
 
 struct RedoScheduleStats {
   std::uint64_t chains = 0;          ///< Independent chains formed.
-  std::uint64_t records_routed = 0;  ///< Update frames handed to workers.
+  std::uint64_t records_routed = 0;  ///< Update frames routed to pages.
   std::uint64_t applied = 0;         ///< Redo records applied, total.
 };
 
@@ -49,26 +47,17 @@ class RedoScheduler {
  public:
   /// `skip_txns`: transactions whose logical records are redo-skipped
   /// (uncommitted, never backfilled — see docs/PROTOCOLS.md "Redo skip
-  /// rule"). Not owned; must outlive Run. `workers` > 1 with
-  /// `use_threads` enables the real worker pool.
-  RedoScheduler(LogManager* log, const std::set<TxnId>* skip_txns,
-                std::uint32_t workers, bool use_threads)
-      : log_(log),
-        skip_txns_(skip_txns),
-        workers_(workers),
-        use_threads_(use_threads) {}
+  /// rule"). Not owned; must outlive Run.
+  RedoScheduler(LogManager* log, const std::set<TxnId>* skip_txns)
+      : log_(log), skip_txns_(skip_txns) {}
 
   /// Scans, partitions, and replays. On return every task's page image is
-  /// redone and `applied` filled in. The caller must be the only thread
-  /// touching the log while the (single-threaded) scan runs; workers never
-  /// touch the log, only their routed frame copies.
+  /// redone and `applied` filled in.
   Status Run(std::vector<RedoPageTask>* tasks, RedoScheduleStats* stats);
 
  private:
   LogManager* log_;
   const std::set<TxnId>* skip_txns_;
-  std::uint32_t workers_;
-  bool use_threads_;
 };
 
 }  // namespace clog

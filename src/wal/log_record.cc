@@ -1,6 +1,34 @@
 #include "wal/log_record.h"
 
+#include "storage/slotted_page.h"
+
 namespace clog {
+
+Status ApplyRedo(const LogRecord& rec, Page* page) {
+  if (rec.psn_before != page->psn()) {
+    return Status::FailedPrecondition(
+        "psn mismatch applying " + rec.ToString() + " to page at psn " +
+        std::to_string(page->psn()));
+  }
+  SlottedPage sp(page);
+  switch (rec.op) {
+    case RecordOp::kInsert:
+      CLOG_RETURN_IF_ERROR(sp.InsertAt(rec.slot, rec.redo_image));
+      break;
+    case RecordOp::kUpdate:
+      CLOG_RETURN_IF_ERROR(sp.Update(rec.slot, rec.redo_image));
+      break;
+    case RecordOp::kDelete:
+      CLOG_RETURN_IF_ERROR(sp.Delete(rec.slot));
+      break;
+    case RecordOp::kFormat:
+      page->Format(rec.page, PageType::kData, rec.psn_before);
+      sp.InitBody();
+      break;
+  }
+  page->BumpPsn();
+  return Status::OK();
+}
 
 std::string_view LogRecordTypeName(LogRecordType t) {
   switch (t) {

@@ -153,6 +153,13 @@ struct LogRecord {
 /// Name of a log record type ("UPDATE", "CLR", ...).
 std::string_view LogRecordTypeName(LogRecordType t);
 
+class Page;
+
+/// Redoes page update `rec` (IsPageUpdate()) on `page` and bumps its PSN:
+/// the one applier for updates, rollbacks, restart redo and recovery
+/// rounds. FailedPrecondition unless the page is at `rec.psn_before`.
+Status ApplyRedo(const LogRecord& rec, Page* page);
+
 }  // namespace clog
 
 #endif  // CLOG_WAL_LOG_RECORD_H_

@@ -269,10 +269,11 @@ TEST(ExecutionModeTest, StoppedWorkerRejectsWorkUntilRestart) {
 
 /// Adaptive recovery equivalence across engines. Every session writes only
 /// its own pages, so the whole log is self-only histories and restart
-/// recovery takes the dependency-parallel redo path — chains replayed
-/// sequentially in simulation, by the worker pool in real mode. Both must
-/// land on the same committed state, and both must actually have scheduled
-/// chains (the stats prove the fast path ran, not the legacy bounce).
+/// recovery takes the chain redo path (one chain per node here, since each
+/// transaction writes both of its node's pages), replayed on the restarting
+/// node's thread in both modes. Both must land on the same committed state,
+/// and both must actually have scheduled chains (the stats prove the chain
+/// engine ran, not the legacy bounce).
 std::map<PageId, std::vector<std::string>> RunAdaptiveRecovery(
     const std::string& dir, ExecutionMode mode, std::uint64_t* chains,
     std::uint64_t* parallel_pages) {
@@ -285,7 +286,7 @@ std::map<PageId, std::vector<std::string>> RunAdaptiveRecovery(
   opts.execution_mode = mode;
   opts.node_defaults.logging_policy = LoggingPolicy()
                                           .WithStrategy(LogStrategy::kAdaptive)
-                                          .WithRedoWorkers(4);
+                                          .WithRedoWorkers(1);
   Cluster cluster(opts);
   std::vector<std::vector<PageId>> pages(kNodes);
   for (int i = 0; i < kNodes; ++i) {
@@ -299,8 +300,8 @@ std::map<PageId, std::vector<std::string>> RunAdaptiveRecovery(
     }));
   }
 
-  // Sessions run sequentially — this test is about recovery parallelism,
-  // not workload parallelism. Every third transaction forces the physical
+  // Sessions run sequentially — this test is about recovery, not workload
+  // parallelism. Every third transaction forces the physical
   // strategy so both record families interleave in each log.
   for (int s = 0; s < kNodes; ++s) {
     EXPECT_OK(cluster.Execute(s, [&] {

@@ -226,5 +226,36 @@ INSTANTIATE_TEST_SUITE_P(
                       ModeParam{LoggingMode::kForceAtTransfer, 64}),
     ParamName);
 
+/// Every log force goes through Node::ForceLog, which charges it to the
+/// simulated clock and counts it in `log.forces`, so in every mode that
+/// counter equals the log's own count of fdatasyncs. Each commit touches
+/// an own page and a remote one: B2 forces the log before it forces and
+/// ships those pages, and B1 logs the own page's records locally.
+class ForceChargeMatrixTest : public ModeMatrixTest {};
+
+TEST_P(ForceChargeMatrixTest, EveryLogForceIsCharged) {
+  ASSERT_OK_AND_ASSIGN(PageId own, client_->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(PageId remote, owner_->AllocatePage());
+  for (int i = 0; i < 5; ++i) {
+    const std::string v = "v" + std::to_string(i);
+    ASSERT_OK_AND_ASSIGN(TxnId txn, client_->Begin());
+    ASSERT_OK(client_->Insert(txn, own, v).status());
+    ASSERT_OK(client_->Insert(txn, remote, v).status());
+    ASSERT_OK(client_->Commit(txn));
+  }
+  EXPECT_GE(client_->log().forces(), 5u);
+  for (Node* n : {owner_, client_}) {
+    EXPECT_EQ(n->metrics().CounterValue("log.forces"), n->log().forces())
+        << "node " << n->id();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, ForceChargeMatrixTest,
+    ::testing::Values(ModeParam{LoggingMode::kClientLocal, 64},
+                      ModeParam{LoggingMode::kShipToOwner, 64},
+                      ModeParam{LoggingMode::kForceAtTransfer, 64}),
+    ParamName);
+
 }  // namespace
 }  // namespace clog

@@ -177,9 +177,9 @@ TEST_P(HammerRestoreShardTest, ThirtyTwoSeeds) {
 INSTANTIATE_TEST_SUITE_P(Torture, HammerRestoreShardTest,
                          ::testing::Range(0, 2));
 
-/// Adaptive-logging corpus: the cluster policy is kAdaptive with
-/// dependency-parallel redo on, and the workload mixes per-transaction
-/// physical overrides, so every schedule interleaves logical records,
+/// Adaptive-logging corpus: the cluster policy is kAdaptive with chain
+/// redo on, and the workload mixes per-transaction physical overrides,
+/// so every schedule interleaves logical records,
 /// upgrades, backfills, and skip classification with the usual fault mix.
 /// One shard forces a crash into every repair pass so redo re-enters
 /// mid-recovery on adaptive logs. The sixth invariant (logical records
@@ -199,8 +199,8 @@ TEST_P(AdaptiveShardTest, ThirtyTwoSeeds) {
         kAdaptiveSeedsPerShard + i;
     opts.adaptive = true;
     // Shard 1: every repair pass also kills a restarting node at a seeded
-    // phase boundary, so dependency-parallel redo is re-entered from
-    // scratch mid-recovery.
+    // phase boundary, so chain redo is re-entered from scratch
+    // mid-recovery.
     opts.crash_during_recovery = shard == 1;
     opts.keep_events = false;
     TortureReport report = RunTortureSchedule(opts);
