@@ -22,9 +22,9 @@ Page* BufferPool::Lookup(PageId pid) {
     return nullptr;
   }
   ++hits_;
-  lru_.erase(it->second.lru_pos);
-  lru_.push_front(pid);
-  it->second.lru_pos = lru_.begin();
+  // Relinks the node in place: same order as erase + push_front, and no
+  // allocation on the hit path.
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
   return it->second.page.get();
 }
 

@@ -1,7 +1,5 @@
 #include "buffer/dirty_page_table.h"
 
-#include <algorithm>
-
 namespace clog {
 
 void DirtyPageTable::OnFirstDirty(PageId pid, Psn page_psn, Lsn log_end_lsn) {
@@ -11,6 +9,7 @@ void DirtyPageTable::OnFirstDirty(PageId pid, Psn page_psn, Lsn log_end_lsn) {
   info.curr_psn = page_psn;
   info.redo_lsn = log_end_lsn;
   table_.emplace(pid, info);
+  by_redo_lsn_.emplace(log_end_lsn, pid);
 }
 
 void DirtyPageTable::OnUpdate(PageId pid, Psn new_psn) {
@@ -36,6 +35,7 @@ bool DirtyPageTable::OnOwnerFlushed(PageId pid, Psn flushed_psn) {
     // Every update this node made is reflected in the disk version: the
     // entry may be dropped (Section 2.2). A later re-dirtying re-adds it
     // when the transaction obtains the exclusive lock again.
+    by_redo_lsn_.erase({info.redo_lsn, pid});
     table_.erase(it);
     return true;
   }
@@ -45,15 +45,37 @@ bool DirtyPageTable::OnOwnerFlushed(PageId pid, Psn flushed_psn) {
     // remembered end-of-log (Section 2.5).
     if (info.replaced_end_lsn != kNullLsn &&
         info.replaced_end_lsn > info.redo_lsn) {
+      Reindex(pid, info.redo_lsn, info.replaced_end_lsn);
       info.redo_lsn = info.replaced_end_lsn;
     }
   }
   return false;
 }
 
-void DirtyPageTable::Remove(PageId pid) { table_.erase(pid); }
+void DirtyPageTable::Remove(PageId pid) {
+  auto it = table_.find(pid);
+  if (it == table_.end()) return;
+  by_redo_lsn_.erase({it->second.redo_lsn, pid});
+  table_.erase(it);
+}
 
-void DirtyPageTable::Clear() { table_.clear(); }
+void DirtyPageTable::SetRedoLsn(PageId pid, Lsn redo_lsn) {
+  auto it = table_.find(pid);
+  if (it == table_.end()) return;
+  Reindex(pid, it->second.redo_lsn, redo_lsn);
+  it->second.redo_lsn = redo_lsn;
+}
+
+void DirtyPageTable::Reindex(PageId pid, Lsn from, Lsn to) {
+  ByRedoLsn::node_type node = by_redo_lsn_.extract({from, pid});
+  node.value().first = to;
+  by_redo_lsn_.insert(std::move(node));
+}
+
+void DirtyPageTable::Clear() {
+  table_.clear();
+  by_redo_lsn_.clear();
+}
 
 bool DirtyPageTable::Contains(PageId pid) const { return table_.contains(pid); }
 
@@ -62,39 +84,19 @@ const DirtyPageInfo* DirtyPageTable::Find(PageId pid) const {
   return it == table_.end() ? nullptr : &it->second;
 }
 
-DirtyPageInfo* DirtyPageTable::FindMutable(PageId pid) {
-  auto it = table_.find(pid);
-  return it == table_.end() ? nullptr : &it->second;
-}
-
 Lsn DirtyPageTable::MinRedoLsn() const {
-  Lsn min = kNullLsn;
-  for (const auto& [_, info] : table_) {
-    if (min == kNullLsn || info.redo_lsn < min) min = info.redo_lsn;
-  }
-  return min;
+  return by_redo_lsn_.empty() ? kNullLsn : by_redo_lsn_.begin()->first;
 }
 
 std::optional<PageId> DirtyPageTable::MinRedoLsnPage() const {
-  std::optional<PageId> best;
-  Lsn best_lsn = kNullLsn;
-  for (const auto& [pid, info] : table_) {
-    if (!best.has_value() || info.redo_lsn < best_lsn) {
-      best = pid;
-      best_lsn = info.redo_lsn;
-    }
-  }
-  return best;
+  if (by_redo_lsn_.empty()) return std::nullopt;
+  return by_redo_lsn_.begin()->second;
 }
 
 std::vector<PageId> DirtyPageTable::PagesByRedoLsn() const {
-  std::vector<std::pair<Lsn, PageId>> order;
-  order.reserve(table_.size());
-  for (const auto& [pid, info] : table_) order.emplace_back(info.redo_lsn, pid);
-  std::sort(order.begin(), order.end());
   std::vector<PageId> out;
-  out.reserve(order.size());
-  for (const auto& [_, pid] : order) out.push_back(pid);
+  out.reserve(by_redo_lsn_.size());
+  for (const auto& [_, pid] : by_redo_lsn_) out.push_back(pid);
   return out;
 }
 
@@ -113,7 +115,13 @@ void DirtyPageTable::Install(const DptEntry& e) {
   info.psn = e.psn;
   info.curr_psn = e.curr_psn;
   info.redo_lsn = e.redo_lsn;
-  table_[e.pid] = info;
+  auto [it, inserted] = table_.try_emplace(e.pid, info);
+  if (inserted) {
+    by_redo_lsn_.emplace(e.redo_lsn, e.pid);
+    return;
+  }
+  Reindex(e.pid, it->second.redo_lsn, e.redo_lsn);
+  it->second = info;
 }
 
 }  // namespace clog

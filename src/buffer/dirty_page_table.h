@@ -2,7 +2,9 @@
 #define CLOG_BUFFER_DIRTY_PAGE_TABLE_H_
 
 #include <optional>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -40,6 +42,11 @@ struct DirtyPageInfo {
 
 /// The table. Single-threaded like the rest of a node's volatile state; a
 /// node crash simply destroys it (recovery rebuilds a superset by log scan).
+///
+/// Every entry is also indexed by (RedoLSN, PID), so the log-space horizon
+/// every commit computes (MinRedoLsn) reads one element instead of walking
+/// the table. Only the methods below change RedoLSN, and each keeps the
+/// index in step.
 class DirtyPageTable {
  public:
   /// Registers a first-dirty event: called when the node obtains an
@@ -63,12 +70,15 @@ class DirtyPageTable {
   /// Unconditionally removes the entry (e.g. local page forced to disk).
   void Remove(PageId pid);
 
+  /// Sets the RedoLSN of an existing entry (no-op without one): recovery
+  /// re-arms it at the log end once the node's past updates are on disk.
+  void SetRedoLsn(PageId pid, Lsn redo_lsn);
+
   /// Drops every entry (used only by tests; a crash destroys the object).
   void Clear();
 
   bool Contains(PageId pid) const;
   const DirtyPageInfo* Find(PageId pid) const;
-  DirtyPageInfo* FindMutable(PageId pid);
   std::size_t size() const { return table_.size(); }
 
   /// Minimum RedoLSN over all entries, or kNullLsn when the table is empty.
@@ -78,7 +88,8 @@ class DirtyPageTable {
   /// Page with the smallest RedoLSN (the victim Section 2.5 forces first).
   std::optional<PageId> MinRedoLsnPage() const;
 
-  /// All entries ascending by RedoLSN (Section 2.5 victim order).
+  /// All entries ascending by RedoLSN, ties by PID (Section 2.5 victim
+  /// order).
   std::vector<PageId> PagesByRedoLsn() const;
 
   /// All entries as wire/checkpoint form, optionally filtered to pages
@@ -95,7 +106,13 @@ class DirtyPageTable {
   }
 
  private:
+  using ByRedoLsn = std::set<std::pair<Lsn, PageId>>;
+
+  /// Moves `pid`'s index element from `from` to `to`, reusing its node.
+  void Reindex(PageId pid, Lsn from, Lsn to);
+
   std::unordered_map<PageId, DirtyPageInfo> table_;
+  ByRedoLsn by_redo_lsn_;
 };
 
 }  // namespace clog

@@ -4,6 +4,18 @@
 
 namespace clog {
 
+namespace {
+
+/// Where `txn`'s hold is in `holds` (ascending by TxnId), or would go.
+template <typename Holds>
+auto HoldPosition(Holds& holds, TxnId txn) {
+  return std::lower_bound(
+      holds.begin(), holds.end(), txn,
+      [](const auto& hold, TxnId id) { return hold.first < id; });
+}
+
+}  // namespace
+
 LockMode LockCache::TxnHold::Strongest() const {
   LockMode strongest = page_mode;
   for (const auto& [_, m] : records) strongest = std::max(strongest, m);
@@ -20,6 +32,22 @@ bool LockCache::TxnHold::ConflictsWithRecord(SlotId slot,
   if (!Compatible(page_mode, mode)) return true;  // Its page lock covers all.
   auto it = records.find(slot);
   return it != records.end() && !Compatible(it->second, mode);
+}
+
+LockCache::TxnHold& LockCache::HoldFor(Entry& e, TxnId txn, PageId pid) {
+  auto it = HoldPosition(e.txns, txn);
+  if (it != e.txns.end() && it->first == txn) return it->second;
+  auto pages = txn_pages_.find(txn);
+  if (pages == txn_pages_.end()) {
+    if (spare_pages_.empty()) {
+      pages = txn_pages_.try_emplace(txn).first;
+    } else {
+      spare_pages_.key() = txn;
+      pages = txn_pages_.insert(std::move(spare_pages_)).position;
+    }
+  }
+  pages->second.push_back(pid);
+  return e.txns.emplace(it, txn, TxnHold())->second;
 }
 
 void LockCache::EraseIfEmpty(PageId pid) {
@@ -54,7 +82,7 @@ LocalAcquire LockCache::AcquireForTxn(TxnId txn, PageId pid, LockMode mode) {
     return out;
   }
 
-  LockMode& slot = e.txns[txn].page_mode;
+  LockMode& slot = HoldFor(e, txn, pid).page_mode;
   if (mode > slot) slot = mode;
   out.outcome = LocalAcquire::Outcome::kGranted;
   return out;
@@ -85,7 +113,7 @@ LocalAcquire LockCache::AcquireRecordForTxn(TxnId txn, PageId pid,
     return out;
   }
 
-  LockMode& held = e.txns[txn].records[slot];
+  LockMode& held = HoldFor(e, txn, pid).records[slot];
   if (mode > held) held = mode;
   out.outcome = LocalAcquire::Outcome::kGranted;
   return out;
@@ -104,20 +132,27 @@ LockMode LockCache::NodeMode(PageId pid) const {
 LockMode LockCache::TxnMode(TxnId txn, PageId pid) const {
   auto it = cache_.find(pid);
   if (it == cache_.end()) return LockMode::kNone;
-  auto tit = it->second.txns.find(txn);
-  return tit == it->second.txns.end() ? LockMode::kNone
-                                      : tit->second.page_mode;
+  const auto& holds = it->second.txns;
+  auto hold = HoldPosition(holds, txn);
+  return hold == holds.end() || hold->first != txn ? LockMode::kNone
+                                                   : hold->second.page_mode;
 }
 
 void LockCache::ReleaseTxnLocks(TxnId txn) {
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    it->second.txns.erase(txn);
-    if (it->second.node_mode == LockMode::kNone && it->second.txns.empty()) {
-      it = cache_.erase(it);
-    } else {
-      ++it;
+  TxnPages::node_type pages = txn_pages_.extract(txn);
+  if (pages.empty()) return;
+  for (PageId pid : pages.mapped()) {
+    auto it = cache_.find(pid);
+    if (it == cache_.end()) continue;  // A callback dropped the page.
+    Holds& holds = it->second.txns;
+    auto hold = HoldPosition(holds, txn);
+    if (hold != holds.end() && hold->first == txn) holds.erase(hold);
+    if (it->second.node_mode == LockMode::kNone && holds.empty()) {
+      cache_.erase(it);
     }
   }
+  pages.mapped().clear();
+  spare_pages_ = std::move(pages);
 }
 
 CallbackDecision LockCache::CanComply(PageId pid,
@@ -179,6 +214,9 @@ void LockCache::Install(PageId pid, LockMode mode) {
   cache_[pid].node_mode = mode;
 }
 
-void LockCache::Clear() { cache_.clear(); }
+void LockCache::Clear() {
+  cache_.clear();
+  txn_pages_.clear();
+}
 
 }  // namespace clog

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/lock_mode.h"
@@ -71,7 +72,9 @@ class LockCache {
 
   /// Releases every lock `txn` holds (transaction end, commit or abort).
   /// Node-level cached locks are retained (strict 2PL releases transaction
-  /// locks; inter-transaction caching keeps the node locks).
+  /// locks; inter-transaction caching keeps the node locks). Visits only the
+  /// pages `txn` locked, so a commit costs what its transaction touched,
+  /// not what the node caches.
   void ReleaseTxnLocks(TxnId txn);
 
   /// Can a callback demanding `downgrade_to` (kNone = release, kShared =
@@ -115,14 +118,32 @@ class LockCache {
     bool ConflictsWithRecord(SlotId slot, LockMode mode) const;
   };
 
+  /// Holds of local transactions, ascending by TxnId. A flat vector: a
+  /// page rarely has more than one local user, and the entry keeps its
+  /// capacity across transactions, so acquiring allocates nothing.
+  using Holds = std::vector<std::pair<TxnId, TxnHold>>;
+
   struct Entry {
     LockMode node_mode = LockMode::kNone;
-    std::map<TxnId, TxnHold> txns;
+    Holds txns;
   };
+
+  /// The hold of `txn` on `pid`'s entry, added (and the page noted in the
+  /// transaction's page list) if it has none yet.
+  TxnHold& HoldFor(Entry& e, TxnId txn, PageId pid);
 
   void EraseIfEmpty(PageId pid);
 
   std::unordered_map<PageId, Entry> cache_;
+
+  /// Pages each local transaction holds a lock on: what ReleaseTxnLocks
+  /// visits. A page appears again if a callback dropped its entry and the
+  /// transaction locked it anew.
+  using TxnPages = std::unordered_map<TxnId, std::vector<PageId>>;
+  TxnPages txn_pages_;
+  /// The list of the last transaction released, emptied, kept for the next
+  /// transaction to reuse (its node and its capacity).
+  TxnPages::node_type spare_pages_;
 };
 
 }  // namespace clog

@@ -1,4 +1,7 @@
 #include "node/node.h"
+
+#include <algorithm>
+
 #include "node/options.h"
 
 /// \file
@@ -94,7 +97,10 @@ Status Node::PrepareSteal(PageId pid) {
         t->logical_undos.empty()) {
       continue;
     }
-    if (t->updated_pages.count(pid) == 0) continue;
+    if (!std::binary_search(t->updated_pages.begin(), t->updated_pages.end(),
+                            pid)) {
+      continue;
+    }
     Transaction* txn = txns_.Find(t->id);
     if (txn->state == TxnState::kCommitting) {
       // Parked group commit: its commit record is already appended

@@ -493,6 +493,12 @@ Status Node::AppendWithReclaim(const LogRecord& rec, Lsn* lsn) {
   return log_.Append(rec, lsn);
 }
 
+Status Node::AppendWithReclaim(const PageUpdate& rec, Lsn* lsn) {
+  Status st = log_.Append(rec, lsn);
+  if (!st.IsLogFull()) return st;
+  return AppendWithReclaim(rec.ToRecord(), lsn);
+}
+
 namespace {
 
 /// Keeps a page resident while an operation holds a raw pointer to its
@@ -514,7 +520,7 @@ class PinGuard {
 }  // namespace
 
 Status Node::LoggedUpdate(Transaction* txn, Page* page, RecordOp op,
-                          SlotId slot, Slice redo_image, Slice undo_image) {
+                          SlotId slot, Slice redo_image) {
   PinGuard pin(&pool_, page->id());
   // Adaptive logging: single-node transactions on own pages write compact
   // redo-only records; the first update that falls outside the gates (a
@@ -534,7 +540,13 @@ Status Node::LoggedUpdate(Transaction* txn, Page* page, RecordOp op,
     }
   }
 
-  LogRecord rec;
+  // The before-image is read after the upgrade above, which can wait, and
+  // it views the page: the record is encoded before ApplyRedo changes it.
+  Slice undo_image;
+  if (op != RecordOp::kInsert) {
+    CLOG_ASSIGN_OR_RETURN(undo_image, SlottedPage(page).Read(slot));
+  }
+  PageUpdate rec;
   rec.type = logical ? LogRecordType::kLogicalUpdate : LogRecordType::kUpdate;
   rec.txn = txn->id;
   rec.prev_lsn = txn->last_lsn;
@@ -542,14 +554,22 @@ Status Node::LoggedUpdate(Transaction* txn, Page* page, RecordOp op,
   rec.psn_before = page->psn();
   rec.op = op;
   rec.slot = slot;
-  rec.redo_image = redo_image.ToString();
-  if (!logical) rec.undo_image = undo_image.ToString();
+  rec.redo_image = redo_image;
+  // A logical record's before-image stays volatile: discarded at commit,
+  // backfilled into the log by the first steal/dependency/rollback. It is
+  // copied before the append, which can wait.
+  std::string stash;
+  if (logical) {
+    stash = undo_image.ToString();
+  } else {
+    rec.undo_image = undo_image;
+  }
 
   Lsn lsn = kNullLsn;
   if (options_.logging_mode == LoggingMode::kShipToOwner) {
     // Baseline B1: records accumulate locally and are shipped to the owner
     // (on page replacement and at commit); no local LSN space.
-    txn->pending_records.push_back(rec);
+    txn->pending_records.push_back(rec.ToRecord());
   } else {
     CLOG_RETURN_IF_ERROR(AppendWithReclaim(rec, &lsn));
     txn->last_lsn = lsn;
@@ -558,10 +578,8 @@ Status Node::LoggedUpdate(Transaction* txn, Page* page, RecordOp op,
                                network_->cost_model().log_append_byte_ns);
   }
   if (logical) {
-    // The before-image stays volatile: discarded at commit, backfilled
-    // into the log by the first steal/dependency/rollback.
     if (txn->logical_undos.empty()) ++live_logical_txns_;
-    txn->logical_undos.emplace(lsn, undo_image.ToString());
+    txn->logical_undos.emplace(lsn, std::move(stash));
     ctr_txn_logical_records_->Add(1);
   }
 
@@ -576,7 +594,11 @@ Status Node::LoggedUpdate(Transaction* txn, Page* page, RecordOp op,
   PageId pid = page->id();
   pool_.MarkDirty(pid);
   dpt_.OnUpdate(pid, page->psn());
-  txn->updated_pages.insert(pid);
+  auto pos = std::lower_bound(txn->updated_pages.begin(),
+                              txn->updated_pages.end(), pid);
+  if (pos == txn->updated_pages.end() || *pos != pid) {
+    txn->updated_pages.insert(pos, pid);
+  }
   ++txn->updates;
   ctr_txn_updates_->Add(1);
   ChargeCpuOp();
@@ -690,7 +712,7 @@ Result<TxnId> Node::Begin(TxnOptions opts) {
       txns_.Remove(txn->id);
       return st;
     }
-    txn->first_lsn = lsn;
+    txns_.SetFirstLsn(txn, lsn);
     txn->last_lsn = lsn;
   }
   ctr_txn_begins_->Add(1);
@@ -1082,7 +1104,7 @@ Result<RecordId> Node::Insert(TxnId txn_id, PageId pid, Slice payload) {
     slot = sp.PeekInsertSlot();
   }
   CLOG_RETURN_IF_ERROR(
-      LoggedUpdate(txn, page, RecordOp::kInsert, slot, payload, Slice()));
+      LoggedUpdate(txn, page, RecordOp::kInsert, slot, payload));
   return RecordId{pid, slot};
 }
 
@@ -1105,12 +1127,11 @@ Status Node::Update(TxnId txn_id, RecordId rid, Slice payload) {
                         AcquireRecord(txn, rid, LockMode::kExclusive));
   SlottedPage sp(page);
   CLOG_ASSIGN_OR_RETURN(Slice old_value, sp.Read(rid.slot));
-  std::string undo = old_value.ToString();  // Copy before the page mutates.
-  if (payload.size() > undo.size() &&
-      payload.size() - undo.size() > sp.FreeSpace()) {
+  if (payload.size() > old_value.size() &&
+      payload.size() - old_value.size() > sp.FreeSpace()) {
     return Status::FailedPrecondition("page full: " + rid.page.ToString());
   }
-  return LoggedUpdate(txn, page, RecordOp::kUpdate, rid.slot, payload, undo);
+  return LoggedUpdate(txn, page, RecordOp::kUpdate, rid.slot, payload);
 }
 
 Status Node::Delete(TxnId txn_id, RecordId rid) {
@@ -1118,10 +1139,8 @@ Status Node::Delete(TxnId txn_id, RecordId rid) {
   if (txn == nullptr) return Status::NotFound("no active transaction");
   CLOG_ASSIGN_OR_RETURN(Page * page,
                         AcquireRecord(txn, rid, LockMode::kExclusive));
-  SlottedPage sp(page);
-  CLOG_ASSIGN_OR_RETURN(Slice old_value, sp.Read(rid.slot));
-  std::string undo = old_value.ToString();
-  return LoggedUpdate(txn, page, RecordOp::kDelete, rid.slot, Slice(), undo);
+  CLOG_RETURN_IF_ERROR(SlottedPage(page).Read(rid.slot).status());
+  return LoggedUpdate(txn, page, RecordOp::kDelete, rid.slot, Slice());
 }
 
 Result<std::vector<std::string>> Node::ScanPage(TxnId txn_id, PageId pid) {

@@ -490,9 +490,11 @@ class Node : public NodeService {
   /// an append may run), so each caller finds its frame after the gate.
   Status WalBeforePageLeaves(PageId pid);
 
-  /// Logs one update, applies it, maintains PSN/DPT/dirty bits.
+  /// Logs one update, applies it, maintains PSN/DPT/dirty bits. The
+  /// before-image is the slot's current value (none for an insert); the
+  /// record views it and `redo_image` in place, with no copy.
   Status LoggedUpdate(Transaction* txn, Page* page, RecordOp op, SlotId slot,
-                      Slice redo_image, Slice undo_image);
+                      Slice redo_image);
 
   // --- Adaptive logging (LogStrategy::kAdaptive; logging_strategy.cc) ---
 
@@ -564,7 +566,11 @@ class Node : public NodeService {
                             const PageId* only_page);
 
   /// Appends to the local log, retrying once after log-space reclamation.
+  /// Reclaiming can wait, so a page update whose append needs it is
+  /// retried as an owned copy: a task run during the wait may change the
+  /// page its images view.
   Status AppendWithReclaim(const LogRecord& rec, Lsn* lsn);
+  Status AppendWithReclaim(const PageUpdate& rec, Lsn* lsn);
 
   /// The one gate every log force goes through: flushes up to `lsn`,
   /// charges the force cost only if the log actually hit the disk (the

@@ -585,8 +585,8 @@ Status Node::HandleRecoverPage(NodeId from, PageId pid, const Page& page_in,
     if (total == 0 && dpt_.Contains(pid)) {
       if (lock_cache_.NodeMode(pid) == LockMode::kNone) {
         dpt_.Remove(pid);
-      } else if (DirtyPageInfo* info = dpt_.FindMutable(pid)) {
-        info->redo_lsn = log_.end_lsn();
+      } else {
+        dpt_.SetRedoLsn(pid, log_.end_lsn());
       }
       AdvanceReclaimHorizon();
     }

@@ -2,7 +2,6 @@
 #define CLOG_TXN_TRANSACTION_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -40,14 +39,18 @@ struct Transaction {
   TxnId id = kInvalidTxnId;
   TxnState state = TxnState::kActive;
 
-  Lsn first_lsn = kNullLsn;  ///< LSN of kBegin (log truncation barrier).
+  /// LSN of kBegin (log truncation barrier). Set through
+  /// TxnTable::SetFirstLsn, which indexes it.
+  Lsn first_lsn = kNullLsn;
   Lsn last_lsn = kNullLsn;   ///< Most recent record (undo chain head).
 
   std::vector<Savepoint> savepoints;
 
-  /// Pages this transaction updated (commit processing in the baseline
-  /// modes forces/ships them; statistics otherwise).
-  std::set<PageId> updated_pages;
+  /// Pages this transaction updated, ascending and without duplicates
+  /// (commit processing in the baseline modes forces/ships them; adaptive
+  /// logging records them as the pages' last committed writer). A sorted
+  /// vector: a transaction touches few pages.
+  std::vector<PageId> updated_pages;
 
   /// Baseline B1 (ship-to-owner) only: log records not yet shipped.
   std::vector<LogRecord> pending_records;

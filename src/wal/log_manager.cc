@@ -148,6 +148,17 @@ void LogManager::Abandon() {
 
 Status LogManager::Append(const LogRecord& rec, Lsn* lsn,
                           bool enforce_capacity) {
+  return AppendRecord(rec, lsn, enforce_capacity);
+}
+
+Status LogManager::Append(const PageUpdate& rec, Lsn* lsn,
+                          bool enforce_capacity) {
+  return AppendRecord(rec, lsn, enforce_capacity);
+}
+
+template <typename Record>
+Status LogManager::AppendRecord(const Record& rec, Lsn* lsn,
+                                bool enforce_capacity) {
   if (!open_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("log not open");
   }

@@ -88,6 +88,9 @@ class LogManager {
   /// always be appendable or a full log could never drain (the classic
   /// ARIES rollback reservation).
   Status Append(const LogRecord& rec, Lsn* lsn, bool enforce_capacity = true);
+  /// The same for a page update whose images are views: they are encoded
+  /// straight into the tail, with no copy in between.
+  Status Append(const PageUpdate& rec, Lsn* lsn, bool enforce_capacity = true);
 
   /// Forces all records with LSN <= `up_to` to disk (group commit: the
   /// entire buffer is written, one fsync). No-op if already durable.
@@ -210,6 +213,10 @@ class LogManager {
 
   Status WriteHeader();
   Status RecoverTail();
+
+  /// Append's body, for either record form.
+  template <typename Record>
+  Status AppendRecord(const Record& rec, Lsn* lsn, bool enforce_capacity);
 
   /// LogCursor's only source of bytes. Replaces `*block` with the log bytes
   /// from `lsn` on: `want` of them, or fewer where the part of the log

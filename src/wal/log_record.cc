@@ -4,7 +4,7 @@
 
 namespace clog {
 
-Status ApplyRedo(const LogRecord& rec, Page* page) {
+Status ApplyRedo(const PageUpdate& rec, Page* page) {
   if (rec.psn_before != page->psn()) {
     return Status::FailedPrecondition(
         "psn mismatch applying " + rec.ToString() + " to page at psn " +
@@ -84,34 +84,57 @@ inline char* StoreU64(char* p, std::uint64_t v) {
 
 }  // namespace
 
-void LogRecord::EncodeTo(std::string* out) const {
+void PageUpdate::EncodeTo(std::string* out) const {
+  // type | txn | prev_lsn | page | psn_before | op | slot = 36 bytes.
+  char hdr[36];
+  char* p = hdr;
+  p = StoreU8(p, static_cast<std::uint8_t>(type));
+  p = StoreU64(p, txn);
+  p = StoreU64(p, prev_lsn);
+  p = StoreU64(p, page.Pack());
+  p = StoreU64(p, psn_before);
+  p = StoreU8(p, static_cast<std::uint8_t>(op));
+  p = StoreU16(p, slot);
+  out->append(hdr, static_cast<std::size_t>(p - hdr));
   Encoder enc(out);
-  switch (type) {
-    case LogRecordType::kUpdate:
-    case LogRecordType::kClr:
-    case LogRecordType::kLogicalUpdate: {
-      // type | txn | prev_lsn | page | psn_before | op | slot = 36 bytes.
-      char hdr[36];
-      char* p = hdr;
-      p = StoreU8(p, static_cast<std::uint8_t>(type));
-      p = StoreU64(p, txn);
-      p = StoreU64(p, prev_lsn);
-      p = StoreU64(p, page.Pack());
-      p = StoreU64(p, psn_before);
-      p = StoreU8(p, static_cast<std::uint8_t>(op));
-      p = StoreU16(p, slot);
-      out->append(hdr, static_cast<std::size_t>(p - hdr));
-      enc.PutLengthPrefixed(redo_image);
-      // The whole point of a logical record: no before-image on disk.
-      if (type != LogRecordType::kLogicalUpdate) {
-        enc.PutLengthPrefixed(undo_image);
-      }
-      if (type == LogRecordType::kClr) enc.PutU64(undo_next_lsn);
-      return;
-    }
-    default:
-      break;
+  enc.PutLengthPrefixed(redo_image);
+  // The whole point of a logical record: no before-image on disk.
+  if (type != LogRecordType::kLogicalUpdate) {
+    enc.PutLengthPrefixed(undo_image);
   }
+  if (type == LogRecordType::kClr) enc.PutU64(undo_next_lsn);
+}
+
+LogRecord PageUpdate::ToRecord() const {
+  LogRecord rec;
+  rec.type = type;
+  rec.txn = txn;
+  rec.prev_lsn = prev_lsn;
+  rec.page = page;
+  rec.psn_before = psn_before;
+  rec.op = op;
+  rec.slot = slot;
+  rec.redo_image = redo_image.ToString();
+  rec.undo_image = undo_image.ToString();
+  rec.undo_next_lsn = undo_next_lsn;
+  return rec;
+}
+
+std::string PageUpdate::ToString() const {
+  std::string out(LogRecordTypeName(type));
+  out += " txn=" + std::to_string(txn & 0xFFFFFFFFFFFFull);
+  out += " page=" + page.ToString();
+  out += " psn_before=" + std::to_string(psn_before);
+  out += " slot=" + std::to_string(slot);
+  return out;
+}
+
+void LogRecord::EncodeTo(std::string* out) const {
+  if (IsPageUpdate()) {
+    AsPageUpdate().EncodeTo(out);
+    return;
+  }
+  Encoder enc(out);
   enc.PutU8(static_cast<std::uint8_t>(type));
   enc.PutU64(txn);
   enc.PutU64(prev_lsn);
@@ -119,7 +142,7 @@ void LogRecord::EncodeTo(std::string* out) const {
     case LogRecordType::kUpdate:
     case LogRecordType::kClr:
     case LogRecordType::kLogicalUpdate:
-      break;  // Handled above.
+      break;  // Encoded as a PageUpdate above.
     case LogRecordType::kSavepoint:
       enc.PutLengthPrefixed(savepoint_name);
       break;
@@ -257,13 +280,9 @@ Status LogRecord::DecodeFrom(Slice body, LogRecord* out) {
 }
 
 std::string LogRecord::ToString() const {
+  if (IsPageUpdate()) return AsPageUpdate().ToString();
   std::string out(LogRecordTypeName(type));
   out += " txn=" + std::to_string(txn & 0xFFFFFFFFFFFFull);
-  if (IsPageUpdate()) {
-    out += " page=" + page.ToString();
-    out += " psn_before=" + std::to_string(psn_before);
-    out += " slot=" + std::to_string(slot);
-  }
   if (type == LogRecordType::kUndoBackfill) {
     out += " covers=" + std::to_string(backfill.size());
   }

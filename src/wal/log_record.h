@@ -91,6 +91,36 @@ struct CommitDep {
 /// kCommit flag bits (commit_flags).
 inline constexpr std::uint8_t kCommitFlagLogical = 0x1;  ///< Logged logical.
 
+struct LogRecord;
+
+/// A page update (kUpdate, kLogicalUpdate or kClr) whose images are views,
+/// not copies: Node::LoggedUpdate encodes and applies one straight from the
+/// caller's payload and the page's old value. LogRecord encodes and applies
+/// its page updates through this form too, so both write the same bytes.
+/// The viewed bytes must not change while the record is in use.
+struct PageUpdate {
+  LogRecordType type = LogRecordType::kUpdate;
+  TxnId txn = kInvalidTxnId;
+  Lsn prev_lsn = kNullLsn;
+  PageId page;
+  Psn psn_before = 0;
+  RecordOp op = RecordOp::kInsert;
+  SlotId slot = 0;
+  Slice redo_image;
+  Slice undo_image;  ///< Not encoded for kLogicalUpdate.
+  Lsn undo_next_lsn = kNullLsn;  ///< kClr only.
+
+  /// Serializes the record body exactly as LogRecord::EncodeTo would.
+  void EncodeTo(std::string* out) const;
+
+  /// The same record with owned images (B1's pending records, and a copy
+  /// taken before a call that can wait changes the viewed page).
+  LogRecord ToRecord() const;
+
+  /// Short human-readable form, as LogRecord::ToString.
+  std::string ToString() const;
+};
+
 /// A fully decoded log record. One struct covers all types; unused fields
 /// stay at their defaults. Encoding is explicit (no in-memory layout
 /// dependence) so logs are portable and fuzzable.
@@ -148,6 +178,12 @@ struct LogRecord {
     return type == LogRecordType::kUpdate || type == LogRecordType::kClr ||
            type == LogRecordType::kLogicalUpdate;
   }
+
+  /// The page-update fields as a view of this record (IsPageUpdate()).
+  PageUpdate AsPageUpdate() const {
+    return PageUpdate{type, txn,  prev_lsn,   page,       psn_before,
+                      op,   slot, redo_image, undo_image, undo_next_lsn};
+  }
 };
 
 /// Name of a log record type ("UPDATE", "CLR", ...).
@@ -155,10 +191,13 @@ std::string_view LogRecordTypeName(LogRecordType t);
 
 class Page;
 
-/// Redoes page update `rec` (IsPageUpdate()) on `page` and bumps its PSN:
-/// the one applier for updates, rollbacks, restart redo and recovery
-/// rounds. FailedPrecondition unless the page is at `rec.psn_before`.
-Status ApplyRedo(const LogRecord& rec, Page* page);
+/// Redoes page update `rec` on `page` and bumps its PSN: the one applier
+/// for updates, rollbacks, restart redo and recovery rounds.
+/// FailedPrecondition unless the page is at `rec.psn_before`.
+Status ApplyRedo(const PageUpdate& rec, Page* page);
+inline Status ApplyRedo(const LogRecord& rec, Page* page) {
+  return ApplyRedo(rec.AsPageUpdate(), page);
+}
 
 }  // namespace clog
 
