@@ -1281,11 +1281,16 @@ Status Node::InstallShippedCopy(const Page& page, NodeId from) {
     trace_->Emit(id_, TraceEventType::kPageShip, pid.Pack(), page.psn(),
                  from);
   }
+  // The image's LSN is one of the sender's log, whose records for it the
+  // sender forced before the image left (its WAL gate). No record of this
+  // node's log backs the image, so it arrives with none: this node's gate
+  // then forces nothing for it.
   Page* cached = pool_.Lookup(pid);
   if (cached == nullptr) {
     // Copied before Insert: its eviction can wait, and a task run meanwhile
     // on the sender may drop the frame `page` refers to.
     Page image(page);
+    image.set_page_lsn(kNullLsn);
     if (pool_.Insert(pid, std::move(image)).ok()) {
       pool_.MarkDirty(pid);
       replacers_[pid].insert(from);
@@ -1317,6 +1322,7 @@ Status Node::InstallShippedCopy(const Page& page, NodeId from) {
     }
   } else if (page.psn() > cached->psn()) {
     cached->CopyFrom(page);
+    cached->set_page_lsn(kNullLsn);
     pool_.MarkDirty(pid);
   }
   replacers_[pid].insert(from);

@@ -34,7 +34,11 @@ struct PageHeader {
   std::uint32_t checksum = 0;   ///< CRC32C of bytes [8, kPageSize).
   std::uint64_t packed_id = 0;  ///< PageId::Pack() of this page.
   Psn psn = 0;                  ///< Update counter (paper Section 2.1).
-  Lsn page_lsn = kNullLsn;      ///< LSN of last local log record (WAL check).
+  /// LSN of the last record of this node's log that updated the page (the
+  /// WAL check). kNullLsn for an image installed from another node
+  /// (Node::InstallShippedCopy): that node forced its records before the
+  /// image left, and none of this node's log backs it.
+  Lsn page_lsn = kNullLsn;
   std::uint16_t type = 0;       ///< PageType.
   std::uint16_t reserved = 0;
   std::uint32_t reserved2 = 0;

@@ -269,6 +269,40 @@ TEST_F(ClusterTest, VictimStaysDirtyWhenItsOwnerIsDown) {
   EXPECT_EQ(tiny->metrics().CounterValue("pages.shipped_on_replacement"), 0u);
 }
 
+TEST_F(ClusterTest, OwnerForcesNothingForAClientsLsn) {
+  // A page image that comes home from a client carries no LSN of the
+  // owner's log: its records are in the client's log, forced before the
+  // image left. So handing the page on costs the owner no force, however
+  // far the client's log has run past the owner's.
+  ASSERT_OK_AND_ASSIGN(Node* reader, cluster_->AddNode());
+  ASSERT_OK_AND_ASSIGN(PageId shared, owner_->AllocatePage());
+  ASSERT_OK_AND_ASSIGN(PageId own, client_->AllocatePage());
+  // An open transaction leaves an unforced record in the owner's log.
+  ASSERT_OK_AND_ASSIGN(TxnId open, owner_->Begin());
+  ASSERT_OK_AND_ASSIGN(TxnId busy, client_->Begin());
+  ASSERT_OK_AND_ASSIGN(RecordId mine, client_->Insert(busy, own, "v"));
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_OK(client_->Update(busy, mine, "v" + std::to_string(i)));
+  }
+  ASSERT_OK(client_->Commit(busy));
+  ASSERT_OK_AND_ASSIGN(TxnId write, client_->Begin());
+  ASSERT_OK_AND_ASSIGN(RecordId rid, client_->Insert(write, shared, "c"));
+  ASSERT_OK(client_->Commit(write));
+  ASSERT_GE(client_->pool().Peek(shared)->page_lsn(),
+            owner_->log().flushed_lsn());
+
+  // The read calls the client's X lock back; the dirty copy comes home
+  // and the owner grants it on.
+  const std::uint64_t forces = owner_->log().forces();
+  ASSERT_OK_AND_ASSIGN(TxnId read, reader->Begin());
+  ASSERT_OK_AND_ASSIGN(std::string v, reader->Read(read, rid));
+  EXPECT_EQ(v, "c");
+  EXPECT_GE(Msgs("callback"), 1u);
+  EXPECT_EQ(owner_->log().forces(), forces);
+  ASSERT_OK(reader->Commit(read));
+  ASSERT_OK(owner_->Commit(open));
+}
+
 TEST_F(ClusterTest, LocalConflictReportsBlockers) {
   ASSERT_OK_AND_ASSIGN(PageId pid, owner_->AllocatePage());
   ASSERT_OK_AND_ASSIGN(TxnId t0, owner_->Begin());
