@@ -176,6 +176,46 @@ void BM_SingleNodeCommittedTxn(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleNodeCommittedTxn)->Iterations(500);
 
+// A local commit against the number of pages its node caches (paper
+// Sections 2.1 and 4): 4-update transactions on random records of N own
+// pages, every page cached, locked and in the DPT. The bookkeeping at
+// commit visits only what the transaction touched, so N should not show.
+void BM_LocalCommitCachedPages(benchmark::State& state) {
+  const auto pages = static_cast<std::size_t>(state.range(0));
+  std::string dir = ClusterDir("clog_micro_cached_pages");
+  std::system(("rm -rf " + dir).c_str());
+  ClusterOptions options;
+  options.dir = dir;
+  options.cost = CostModel{0, 0, 0, 0, 0, 0, 0};
+  options.node_defaults.buffer_frames = pages;
+  Cluster cluster(options);
+  Node* node = *cluster.AddNode();
+  const std::string payloads[2] = {std::string(64, 'a'),
+                                   std::string(64, 'b')};
+  std::vector<RecordId> rids;
+  for (std::size_t i = 0; i < pages; ++i) {
+    PageId pid = *node->AllocatePage();
+    TxnId seed = *node->Begin();
+    rids.push_back(*node->Insert(seed, pid, payloads[0]));
+    node->Commit(seed).ok();
+  }
+  Random rng(9);
+  std::size_t n = 0;
+  for (auto _ : state) {
+    TxnId txn = *node->Begin();
+    for (int u = 0; u < 4; ++u) {
+      node->Update(txn, rids[rng.Uniform(pages)], payloads[++n % 2]).ok();
+    }
+    if (!node->Commit(txn).ok()) {
+      state.SkipWithError("commit failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  std::system(("rm -rf " + dir).c_str());
+}
+BENCHMARK(BM_LocalCommitCachedPages)->Arg(64)->Arg(4096)->Iterations(5000);
+
 void BM_RemotePageCachedUpdate(benchmark::State& state) {
   std::string dir = ClusterDir("clog_micro_remote");
   std::system(("rm -rf " + dir).c_str());

@@ -433,9 +433,9 @@ Status Cluster::RunTransactionImpl(
     TxnHandle handle(n, txn);
     Status st = body(handle);
     if (st.ok()) {
+      // A commit takes the transaction out of the deadlock detector itself.
       st = handle.Commit();
       if (st.ok()) {
-        detector_.RemoveTxn(txn);
         // Sim-mode instant restore: committed client work also advances
         // the background drain by one batch. No-op unless restoring.
         n->SweepRestore();

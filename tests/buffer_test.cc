@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "buffer/dirty_page_table.h"
+#include "common/random.h"
 #include "tests/test_util.h"
 
 namespace clog {
@@ -301,6 +305,75 @@ TEST(DirtyPageTableTest, ToEntriesFiltersByOwner) {
   auto owned = dpt.ToEntries(NodeId{2});
   ASSERT_EQ(owned.size(), 1u);
   EXPECT_EQ(owned[0].pid, (PageId{2, 1}));
+}
+
+TEST(DirtyPageTableTest, RedoLsnIndexMatchesTheTableUnderRandomMutations) {
+  // Every mutator keeps the (RedoLSN, PID) index in step with the table:
+  // after each step of a seeded random walk, the indexed answers equal a
+  // brute-force recomputation over entries().
+  DirtyPageTable dpt;
+  Random rng(2510);
+  Lsn log_end = 64;
+  int drops = 0;
+  int advances = 0;
+  for (int step = 0; step < 5000; ++step) {
+    const PageId pid = P(static_cast<std::uint32_t>(rng.Uniform(24)));
+    log_end += rng.Range(1, 100);
+    const DirtyPageInfo* info = dpt.Find(pid);
+    switch (rng.Uniform(8)) {
+      case 0:
+        dpt.OnFirstDirty(pid, rng.Uniform(50), log_end);
+        break;
+      case 1:
+        if (info != nullptr) dpt.OnUpdate(pid, info->curr_psn + 1);
+        break;
+      case 2:
+        if (info != nullptr) dpt.OnReplaced(pid, info->curr_psn, log_end);
+        break;
+      case 3: {
+        // The flush covers every update (drop), or only the copy shipped
+        // at the last replacement (RedoLSN advances if re-dirtied since).
+        if (info == nullptr) break;
+        const Lsn before = info->redo_lsn;
+        const Psn flushed =
+            rng.Bernoulli(0.5) || info->psn_at_replace == kInvalidPsn
+                ? info->curr_psn
+                : info->psn_at_replace;
+        if (dpt.OnOwnerFlushed(pid, flushed)) {
+          ++drops;
+        } else if (dpt.Find(pid)->redo_lsn != before) {
+          ++advances;
+        }
+        break;
+      }
+      case 4:
+        dpt.Remove(pid);
+        break;
+      case 5: {
+        // Overwrites an existing entry about half the time.
+        const Psn psn = rng.Uniform(50);
+        dpt.Install(DptEntry{pid, psn, psn + rng.Uniform(5),
+                             rng.Range(64, log_end)});
+        break;
+      }
+      case 6:
+        dpt.SetRedoLsn(pid, rng.Range(64, log_end));
+        break;
+      case 7:
+        if (rng.Uniform(40) == 0) dpt.Clear();
+        break;
+    }
+    std::vector<std::pair<Lsn, PageId>> order;
+    for (const auto& [p, e] : dpt.entries()) order.emplace_back(e.redo_lsn, p);
+    std::sort(order.begin(), order.end());
+    std::vector<PageId> pages;
+    for (const auto& [_, p] : order) pages.push_back(p);
+    ASSERT_EQ(dpt.MinRedoLsn(), order.empty() ? kNullLsn : order[0].first)
+        << "step " << step;
+    ASSERT_EQ(dpt.PagesByRedoLsn(), pages) << "step " << step;
+  }
+  EXPECT_GT(drops, 0);
+  EXPECT_GT(advances, 0);
 }
 
 TEST(DirtyPageTableTest, InstallForAnalysis) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "lock/deadlock_detector.h"
 #include "lock/lock_cache.h"
 #include "lock/lock_manager.h"
@@ -157,6 +160,69 @@ TEST(LockCacheTest, ReleaseCallbackDropsEntry) {
   cache.ApplyCallback(P(1), LockMode::kNone);
   EXPECT_EQ(cache.NodeMode(P(1)), LockMode::kNone);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(LockCacheTest, ReleaseTxnLocksDropsOnlyTheTransactionsHolds) {
+  LockCache cache;
+  const TxnId t = 1;
+  const TxnId other = 2;
+  // P1: t's page lock under a cached X node lock.
+  cache.RecordNodeLock(P(1), LockMode::kExclusive);
+  ASSERT_EQ(cache.AcquireForTxn(t, P(1), LockMode::kExclusive).outcome,
+            LocalAcquire::Outcome::kGranted);
+  // P2: t's record lock beside another transaction's page lock.
+  cache.RecordNodeLock(P(2), LockMode::kShared);
+  ASSERT_EQ(cache.AcquireRecordForTxn(t, P(2), 3, LockMode::kShared).outcome,
+            LocalAcquire::Outcome::kGranted);
+  ASSERT_EQ(cache.AcquireForTxn(other, P(2), LockMode::kShared).outcome,
+            LocalAcquire::Outcome::kGranted);
+  // P3: the node lock went while t held the page; only t's hold is left.
+  cache.RecordNodeLock(P(3), LockMode::kShared);
+  ASSERT_EQ(cache.AcquireForTxn(t, P(3), LockMode::kShared).outcome,
+            LocalAcquire::Outcome::kGranted);
+  cache.DropNodeLock(P(3));
+  // P4: a callback dropped the whole entry while t held the page, and the
+  // other transaction locked it anew.
+  cache.RecordNodeLock(P(4), LockMode::kShared);
+  ASSERT_EQ(cache.AcquireForTxn(t, P(4), LockMode::kShared).outcome,
+            LocalAcquire::Outcome::kGranted);
+  cache.ApplyCallback(P(4), LockMode::kNone);
+  cache.RecordNodeLock(P(4), LockMode::kShared);
+  ASSERT_EQ(cache.AcquireForTxn(other, P(4), LockMode::kShared).outcome,
+            LocalAcquire::Outcome::kGranted);
+  // P5: no node lock, only the other transaction's hold.
+  cache.RecordNodeLock(P(5), LockMode::kShared);
+  ASSERT_EQ(cache.AcquireForTxn(other, P(5), LockMode::kShared).outcome,
+            LocalAcquire::Outcome::kGranted);
+  cache.DropNodeLock(P(5));
+  ASSERT_EQ(cache.size(), 5u);
+
+  cache.ReleaseTxnLocks(t);
+  EXPECT_EQ(cache.TxnMode(t, P(1)), LockMode::kNone);
+  EXPECT_EQ(cache.NodeMode(P(1)), LockMode::kExclusive);  // Node lock kept.
+  EXPECT_TRUE(cache.CanComply(P(1), LockMode::kNone).can_comply);
+  // t's record lock is gone; the other transaction's page lock stays.
+  EXPECT_EQ(cache.CanComply(P(2), LockMode::kNone).blocking_txns,
+            std::vector<TxnId>{other});
+  EXPECT_EQ(cache.TxnMode(other, P(2)), LockMode::kShared);
+  EXPECT_EQ(cache.TxnMode(other, P(4)), LockMode::kShared);
+  EXPECT_EQ(cache.TxnMode(other, P(5)), LockMode::kShared);
+  // Only P3 had neither a node lock nor a hold left.
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.NodeMode(P(3)), LockMode::kNone);
+  std::vector<PageId> active = cache.PagesWithActiveTxns();
+  std::sort(active.begin(), active.end());
+  EXPECT_EQ(active, (std::vector<PageId>{P(2), P(4), P(5)}));
+
+  // Releasing a transaction that holds nothing changes nothing.
+  cache.ReleaseTxnLocks(t);
+  EXPECT_EQ(cache.size(), 4u);
+  cache.ReleaseTxnLocks(other);
+  EXPECT_TRUE(cache.PagesWithActiveTxns().empty());
+  // P5 goes with its last hold; the node locks stay.
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.NodeMode(P(2)), LockMode::kShared);
+  EXPECT_EQ(cache.NodeMode(P(4)), LockMode::kShared);
 }
 
 TEST(LockCacheTest, NodeLocksFilterByOwner) {
