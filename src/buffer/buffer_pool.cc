@@ -22,9 +22,7 @@ Page* BufferPool::Lookup(PageId pid) {
     return nullptr;
   }
   ++hits_;
-  // Relinks the node in place: same order as erase + push_front, and no
-  // allocation on the hit path.
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);  // Allocates nothing.
   return it->second.page.get();
 }
 
