@@ -194,8 +194,6 @@ Status Node::WalBeforePageLeaves(PageId pid) {
   // Adaptive: an image with live logical updates must not become durable
   // anywhere before their before-images (or commit) are in the log.
   CLOG_RETURN_IF_ERROR(PrepareSteal(pid));
-  // The page LSN is always one of this node's log: an image shipped in
-  // from another node arrives with none, its records already forced there.
   const Page* page = pool_.Peek(pid);
   if (page != nullptr && page->page_lsn() >= log_.flushed_lsn()) {
     return ForceLog(page->page_lsn());
