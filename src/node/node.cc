@@ -712,7 +712,7 @@ Result<TxnId> Node::Begin(TxnOptions opts) {
       txns_.Remove(txn->id);
       return st;
     }
-    txns_.SetFirstLsn(txn, lsn);
+    txn->first_lsn = lsn;
     txn->last_lsn = lsn;
   }
   ctr_txn_begins_->Add(1);

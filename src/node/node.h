@@ -486,9 +486,10 @@ class Node : public NodeService {
   /// records for the page to the owner's log; every other mode runs the
   /// steal barrier (PrepareSteal) and forces the log up to the page LSN,
   /// which is always one of this node's log (an image shipped in from
-  /// another node has none; InstallShippedCopy). Every exit calls it first (DESIGN.md §4, decision 5, lists them). Only
-  /// B1's gate can wait (on its log ship, or on the log-space reclamation
-  /// an append may run), so each caller finds its frame after the gate.
+  /// another node has none; InstallShippedCopy). Every exit calls it
+  /// first (DESIGN.md §4, decision 5, lists them). Only B1's gate can wait
+  /// (on its log ship, or on the log-space reclamation an append may run),
+  /// so each caller finds its frame after the gate.
   Status WalBeforePageLeaves(PageId pid);
 
   /// Logs one update, applies it, maintains PSN/DPT/dirty bits. The

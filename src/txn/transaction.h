@@ -39,9 +39,7 @@ struct Transaction {
   TxnId id = kInvalidTxnId;
   TxnState state = TxnState::kActive;
 
-  /// LSN of kBegin (log truncation barrier). Set through
-  /// TxnTable::SetFirstLsn, which indexes it.
-  Lsn first_lsn = kNullLsn;
+  Lsn first_lsn = kNullLsn;  ///< LSN of kBegin (log truncation barrier).
   Lsn last_lsn = kNullLsn;   ///< Most recent record (undo chain head).
 
   std::vector<Savepoint> savepoints;

@@ -1,7 +1,5 @@
 #include "txn/txn_table.h"
 
-#include <algorithm>
-
 namespace clog {
 
 Transaction* TxnTable::Begin() {
@@ -10,26 +8,6 @@ Transaction* TxnTable::Begin() {
   txn.id = id;
   auto [it, _] = txns_.emplace(id, std::move(txn));
   return &it->second;
-}
-
-void TxnTable::SetFirstLsn(Transaction* txn, Lsn first_lsn) {
-  Unindex(txn->first_lsn, txn->id);
-  txn->first_lsn = first_lsn;
-  Index(first_lsn, txn->id);
-}
-
-void TxnTable::Index(Lsn first_lsn, TxnId id) {
-  if (first_lsn == kNullLsn) return;
-  const std::pair<Lsn, TxnId> key(first_lsn, id);
-  by_first_lsn_.insert(
-      std::upper_bound(by_first_lsn_.begin(), by_first_lsn_.end(), key), key);
-}
-
-void TxnTable::Unindex(Lsn first_lsn, TxnId id) {
-  const std::pair<Lsn, TxnId> key(first_lsn, id);
-  auto pos =
-      std::lower_bound(by_first_lsn_.begin(), by_first_lsn_.end(), key);
-  if (pos != by_first_lsn_.end() && *pos == key) by_first_lsn_.erase(pos);
 }
 
 Transaction* TxnTable::Resurrect(TxnId id, Lsn first_lsn, Lsn last_lsn) {
@@ -41,10 +19,7 @@ Transaction* TxnTable::Resurrect(TxnId id, Lsn first_lsn, Lsn last_lsn) {
     std::uint64_t seq = id & 0xFFFFFFFFFFFFull;
     if (seq >= next_seq_) next_seq_ = seq + 1;
   }
-  auto [it, inserted] = txns_.try_emplace(id);
-  if (!inserted) Unindex(it->second.first_lsn, id);
-  it->second = std::move(txn);
-  Index(first_lsn, id);
+  auto [it, _] = txns_.insert_or_assign(id, std::move(txn));
   return &it->second;
 }
 
@@ -58,12 +33,7 @@ const Transaction* TxnTable::Find(TxnId id) const {
   return it == txns_.end() ? nullptr : &it->second;
 }
 
-void TxnTable::Remove(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  Unindex(it->second.first_lsn, id);
-  txns_.erase(it);
-}
+void TxnTable::Remove(TxnId id) { txns_.erase(id); }
 
 std::vector<const Transaction*> TxnTable::Active() const {
   std::vector<const Transaction*> out;
@@ -77,6 +47,15 @@ std::vector<AttEntry> TxnTable::Snapshot() const {
     out.push_back(AttEntry{id, txn.last_lsn});
   }
   return out;
+}
+
+Lsn TxnTable::MinFirstLsn() const {
+  Lsn min = kNullLsn;
+  for (const auto& [_, txn] : txns_) {
+    if (txn.first_lsn == kNullLsn) continue;
+    if (min == kNullLsn || txn.first_lsn < min) min = txn.first_lsn;
+  }
+  return min;
 }
 
 }  // namespace clog

@@ -2,7 +2,6 @@
 #define CLOG_TXN_TXN_TABLE_H_
 
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -22,10 +21,6 @@ class TxnTable {
 
   /// Creates a new active transaction with a globally unique id.
   Transaction* Begin();
-
-  /// Records the LSN of `txn`'s kBegin record (Begin creates the
-  /// transaction before its record is appended).
-  void SetFirstLsn(Transaction* txn, Lsn first_lsn);
 
   /// Re-installs a transaction found by restart analysis (a loser being
   /// rolled back). Bumps the id allocator past it so new transactions
@@ -47,31 +42,16 @@ class TxnTable {
   std::vector<AttEntry> Snapshot() const;
 
   /// Earliest first_lsn over live transactions (log truncation barrier);
-  /// kNullLsn when idle. Reads the first element of the index below.
-  Lsn MinFirstLsn() const {
-    return by_first_lsn_.empty() ? kNullLsn : by_first_lsn_.front().first;
-  }
+  /// kNullLsn when idle.
+  Lsn MinFirstLsn() const;
 
   /// Loses everything (node crash).
-  void Clear() {
-    txns_.clear();
-    by_first_lsn_.clear();
-  }
+  void Clear() { txns_.clear(); }
 
  private:
-  /// Adds (first_lsn, id) to the index unless first_lsn is kNullLsn, and
-  /// takes it out again.
-  void Index(Lsn first_lsn, TxnId id);
-  void Unindex(Lsn first_lsn, TxnId id);
-
   NodeId node_;
   std::uint64_t next_seq_ = 1;
   std::map<TxnId, Transaction> txns_;
-  /// (first_lsn, id) of every live transaction with a kBegin record,
-  /// ascending. A sorted vector: Begin records are appended in LSN order,
-  /// so a new transaction almost always goes at the end, and the vector
-  /// keeps its capacity from one transaction to the next.
-  std::vector<std::pair<Lsn, TxnId>> by_first_lsn_;
 };
 
 }  // namespace clog

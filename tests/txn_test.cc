@@ -36,9 +36,9 @@ TEST(TxnTableTest, MinFirstLsnTracksOldestActive) {
   TxnTable table(1);
   EXPECT_EQ(table.MinFirstLsn(), kNullLsn);
   Transaction* a = table.Begin();
-  table.SetFirstLsn(a, 300);
+  a->first_lsn = 300;
   Transaction* b = table.Begin();
-  table.SetFirstLsn(b, 100);
+  b->first_lsn = 100;
   EXPECT_EQ(table.MinFirstLsn(), 100u);
   table.Remove(b->id);
   EXPECT_EQ(table.MinFirstLsn(), 300u);
