@@ -75,18 +75,16 @@ void RunRow(std::size_t involved) {
 }
 
 // Strategy-mix axis (docs/PROTOCOLS.md "Adaptive logging"): the cluster
-// runs LogStrategy::kAdaptive with dependency-parallel redo, and the
-// workload dials the fraction of transactions left adaptive (the rest
-// override to kPhysical per transaction via TxnOptions). Every session
-// writes only its own pages, so adaptive transactions stay logical to
-// commit and restart redo takes the self-only scheduler path. One loser
-// per node, open at the crash, exercises the redo skip rule. Reported:
-// log bytes written (compact logical records shrink the log), scheduler
-// chains/pages/records, logical losers skipped, and recovery sim time.
+// runs LogStrategy::kAdaptive, and the workload dials the fraction of
+// transactions left adaptive (the rest override to kPhysical per
+// transaction via TxnOptions). Every session writes only its own pages, so
+// adaptive transactions stay logical to commit and restart redoes each
+// page in one round on its owner's log. One loser per node, open at the
+// crash, exercises the redo skip rule. Reported: log bytes written
+// (compact logical records shrink the log), redo rounds, pages and
+// records, logical losers skipped, and recovery sim time.
 void RunMixRow(int pct_adaptive) {
-  LoggingPolicy policy = LoggingPolicy()
-                             .WithStrategy(LogStrategy::kAdaptive)
-                             .WithRedoWorkers(2);
+  LoggingPolicy policy = LoggingPolicy().WithStrategy(LogStrategy::kAdaptive);
   BenchCluster bc("e9_mix_" + std::to_string(pct_adaptive),
                   LoggingMode::kClientLocal, 64, 0, policy);
   std::vector<Node*> nodes;
@@ -142,12 +140,12 @@ void RunMixRow(int pct_adaptive) {
   for (Node* n : nodes) Check(bc->CrashNode(n->id()), "crash");
   Check(bc->RestartNodes(bc->NodeIds()), "restart");
 
-  std::uint64_t chains = 0, par_pages = 0, par_applied = 0, skipped = 0;
+  std::uint64_t rounds = 0, own_pages = 0, applied = 0, skipped = 0;
   std::uint64_t sim_ns = 0;
   for (const auto& [id, s] : bc->recovery_stats()) {
-    chains += s.redo_chains;
-    par_pages += s.parallel_pages;
-    par_applied += s.parallel_applied;
+    rounds += s.redo_rounds;
+    own_pages += s.own_pages_recovered;
+    applied += s.redo_applied;
     skipped += s.logical_losers_skipped;
     sim_ns += s.sim_ns;
   }
@@ -165,9 +163,9 @@ void RunMixRow(int pct_adaptive) {
               pct_adaptive, static_cast<unsigned long long>(adaptive_txns),
               static_cast<unsigned long long>(physical_txns),
               static_cast<unsigned long long>(log_bytes),
-              static_cast<unsigned long long>(chains),
-              static_cast<unsigned long long>(par_pages),
-              static_cast<unsigned long long>(par_applied),
+              static_cast<unsigned long long>(rounds),
+              static_cast<unsigned long long>(own_pages),
+              static_cast<unsigned long long>(applied),
               static_cast<unsigned long long>(skipped), Ms(sim_ns));
 }
 
@@ -189,17 +187,17 @@ int main() {
   Banner("E9b (strategy mix, adaptive logging)",
          "Whole-cluster crash under LogStrategy::kAdaptive, sweeping the "
          "fraction of transactions left adaptive (rest override to "
-         "kPhysical per txn). Self-only pages take the dependency-parallel "
-         "redo scheduler; one adaptive loser per node, open at the crash, "
-         "exercises the redo skip rule.");
+         "kPhysical per txn). Every page is self-only and redone in one "
+         "round on its owner's log; one adaptive loser per node, open at "
+         "the crash, exercises the redo skip rule.");
   std::printf("%-7s %9s %9s %10s %7s %9s %9s %8s %9s\n", "mix%", "adaptive",
-              "physical", "log_bytes", "chains", "par_pages", "applied",
+              "physical", "log_bytes", "rounds", "own_pages", "applied",
               "skipped", "sim_ms");
   for (int pct : {0, 25, 50, 75, 100}) RunMixRow(pct);
   std::printf(
       "\nexpected shape: log bytes fall as the adaptive fraction rises "
-      "(compact logical records carry no undo image); chains and "
-      "scheduler work stay flat — parallel redo is strategy-agnostic, "
-      "only the skip rule distinguishes loser records.\n");
+      "(compact logical records carry no undo image); redo rounds, pages "
+      "and records stay flat — redo is strategy-agnostic, only the skip "
+      "rule distinguishes loser records.\n");
   return 0;
 }

@@ -3,7 +3,7 @@
 # build directory and runs one torture shard plus the crash-during-
 # recovery, group-commit, adaptive-logging, media-failure, hammer-restore,
 # and elastic-membership shards through it. Memory errors in the recovery/
-# retry/commit-coalescing/adaptive-redo/media-rebuild/instant-restore/
+# retry/commit-coalescing/adaptive-logging/media-rebuild/instant-restore/
 # ownership-handoff paths show up here long before they corrupt a
 # schedule.
 #
@@ -22,7 +22,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R "^(torture_shard_${SHARD}|torture_recovery_crash_shard_0|torture_group_commit_shard_0|torture_adaptive_shard_0|torture_media_shard_0|torture_hammer_restore_shard_0|torture_elastic_shard_0)\$"
 
 # Shard 1 of the adaptive corpus forces a crash into every repair pass,
-# so parallel redo is torn down and re-entered under the sanitizers.
+# so redo of adaptive logs is torn down and re-entered under the
+# sanitizers.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L adaptive
 
 # The media and restore labels cover more than the shards above (the

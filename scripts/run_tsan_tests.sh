@@ -52,7 +52,7 @@ for i in $(seq 1 "$REPEAT"); do
   ctest --test-dir "$BUILD_DIR" -L restore --output-on-failure
 done
 
-# Adaptive suite: the execution passes above already run chain redo in
+# Adaptive suite: the execution passes above already run adaptive redo in
 # real mode (the cross-mode adaptive recovery test); one pass over the
 # adaptive loser tests and torture shards adds the full schedule-driven
 # mix — upgrades, backfills, skip classification, and mid-recovery

@@ -310,11 +310,8 @@ class TortureRun {
     }
     if (options_.adaptive) {
       // Strategy-mix schedules: the cluster default is adaptive (DoTxn
-      // overrides a seeded fraction back to physical), and the chain
-      // engine (any non-zero redo_workers) redoes every self-only page
-      // during restarts.
-      copts.node_defaults.logging_policy.WithStrategy(LogStrategy::kAdaptive)
-          .WithRedoWorkers(2);
+      // overrides a seeded fraction back to physical).
+      copts.node_defaults.logging_policy.WithStrategy(LogStrategy::kAdaptive);
       Event("adaptive on");
     }
     if (MediaMode()) {

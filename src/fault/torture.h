@@ -43,9 +43,8 @@ struct TortureOptions {
   /// counts one as committed before its ACK, and treats a crash while
   /// parked as an indeterminate commit (resolved at the next restart).
   bool group_commit = false;
-  /// Adaptive-logging mode: the cluster runs with
-  /// LoggingPolicy strategy=kAdaptive and chain redo (redo_workers=2, which
-  /// selects the chain engine), and each harness transaction draws a seeded
+  /// Adaptive-logging mode: the cluster runs with LoggingPolicy
+  /// strategy=kAdaptive, and each harness transaction draws a seeded
   /// per-transaction strategy override so compact logical records,
   /// physical records, upgrades, and backfills all interleave in one log.
   /// Two extra checks ride on top of the base invariant set: the invariant

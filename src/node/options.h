@@ -89,32 +89,22 @@ enum class LogStrategy : std::uint8_t {
 
 std::string_view LogStrategyName(LogStrategy s);
 
-/// The unified logging policy: strategy selection, commit-force coalescing,
-/// archiving, and the restart redo engine in one value type, replacing
-/// the scattered per-feature option structs.
+/// The unified logging policy: strategy selection, commit-force coalescing
+/// and archiving in one value type, replacing the scattered per-feature
+/// option structs.
 ///
 /// Named setters chain, so call sites read as one declaration:
 ///
 ///   opts.logging_policy = LoggingPolicy()
 ///       .WithStrategy(LogStrategy::kAdaptive)
-///       .WithGroupCommit(true)
-///       .WithRedoWorkers(1);
+///       .WithGroupCommit(true);
 struct LoggingPolicy {
   LogStrategy strategy = LogStrategy::kPhysical;
-  /// Restart redo engine for pages whose whole history is in the local
-  /// log: 0 = the classic per-page rescan; non-zero = one log pass that
-  /// replays independent transaction chains on the restarting node's
-  /// thread (recovery/redo_scheduler.h). Not a thread count.
-  std::size_t redo_workers = 0;
   GroupCommitPolicy group_commit;
   ArchiveOptions archive;
 
   LoggingPolicy& WithStrategy(LogStrategy s) {
     strategy = s;
-    return *this;
-  }
-  LoggingPolicy& WithRedoWorkers(std::size_t n) {
-    redo_workers = n;
     return *this;
   }
   LoggingPolicy& WithGroupCommit(bool on) {

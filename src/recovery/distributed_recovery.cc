@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "recovery/redo_scheduler.h"
 #include "trace/trace_sink.h"
 #include "wal/log_reader.h"
 
@@ -317,65 +316,9 @@ Status RestartRecovery::RecoverOwnPages() {
   CLOG_RETURN_IF_ERROR(
       node_->GatherPsnLists(pages_per_node, /*full_history=*/false, &lists));
 
-  // Chain redo (recovery/redo_scheduler.h): pages whose only contributor
-  // is this node need no Section 2.3.4 bouncing — their whole history is
-  // in the local log. With a non-zero redo_workers they skip the per-page
-  // RecoverPage rounds: one raw scan routes their frames into page-disjoint
-  // transaction chains, replayed one after another on this thread.
-  // Everything else — multi-node histories, and self-only ones whose first
-  // run starts above the base (a destroyed log held the gap, so the replay
-  // poisons them) — keeps the bouncing path.
-  if (node_->options_.logging_policy.redo_workers > 0 && !work.empty()) {
-    std::vector<WorkItem> bounced;
-    std::vector<WorkItem> scheduled;
-    std::vector<RedoPageTask> tasks;
-    for (WorkItem& item : work) {
-      const auto& ls = lists[item.pid];
-      bool self_only = true;
-      for (const auto& [n, _] : ls) {
-        if (n != me) self_only = false;
-      }
-      const std::vector<RecoveryRun> runs = MergePsnLists(ls);
-      if (!self_only || (!runs.empty() && runs[0].psn > item.base->psn())) {
-        bounced.push_back(std::move(item));
-        continue;
-      }
-      RedoPageTask task;
-      task.pid = item.pid;
-      task.page = item.base.get();
-      auto cur = node_->recovery_cursor_.find(item.pid);
-      task.start_lsn =
-          cur != node_->recovery_cursor_.end() ? cur->second : kNullLsn;
-      tasks.push_back(std::move(task));
-      scheduled.push_back(std::move(item));
-    }
-
-    if (!tasks.empty()) {
-      RedoScheduler scheduler(&node_->log_, &node_->recovery_skip_txns_);
-      RedoScheduleStats rstats;
-      CLOG_RETURN_IF_ERROR(scheduler.Run(&tasks, &rstats));
-      stats_.redo_chains += rstats.chains;
-      stats_.parallel_pages += tasks.size();
-      stats_.parallel_applied += rstats.applied;
-      stats_.redo_applied += rstats.applied;
-      node_->metrics_.GetCounter("recovery.parallel_chains")
-          .Add(rstats.chains);
-      node_->metrics_.GetCounter("recovery.redo_applied")
-          .Add(rstats.applied);
-
-      // The scheduler consumed the scan state BuildPsnList left for these
-      // pages; the landing is the one a bounced page gets.
-      for (const WorkItem& item : scheduled) {
-        node_->recovery_cursor_.erase(item.pid);
-        node_->recovery_applied_.erase(item.pid);
-        CLOG_RETURN_IF_ERROR(
-            node_->LandRebuiltPage(item.pid, *item.base, lists[item.pid]));
-        ++stats_.own_pages_recovered;
-      }
-    }
-    work = std::move(bounced);
-  }
-
+  // Section 2.3.4: every page is redone in ascending PSN order across its
+  // contributors' logs. A page whose only contributor is this node takes
+  // one RecoverPage round on the local log and bounces nowhere.
   for (WorkItem& item : work) {
     Node::ReplayStats replay;
     CLOG_RETURN_IF_ERROR(node_->ReplayPsnSchedule(item.pid, lists[item.pid],

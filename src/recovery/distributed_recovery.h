@@ -54,11 +54,8 @@ class RestartRecovery {
     std::uint64_t losers_undone = 0;
     std::uint64_t clean_candidates = 0;    ///< Candidates already on disk.
     std::uint64_t sim_ns = 0;              ///< Simulated time of the round.
-    // --- Adaptive logging / chain redo ---
+    // --- Adaptive logging ---
     std::uint64_t logical_losers_skipped = 0;  ///< Pure-logical: END only.
-    std::uint64_t redo_chains = 0;         ///< Independent chains scheduled.
-    std::uint64_t parallel_pages = 0;      ///< Pages redone by the scheduler.
-    std::uint64_t parallel_applied = 0;    ///< Records the scheduler applied.
     // --- Media recovery (data/log device loss) ---
     std::uint64_t media_candidates = 0;    ///< Probe candidates from device scan.
     std::uint64_t pages_poisoned = 0;      ///< Pages fenced as unrecoverable.

@@ -11,11 +11,10 @@ namespace {
 using testing::TempDir;
 
 /// Restart of an adaptive-logging loser (docs/PROTOCOLS.md "Redo skip
-/// rule"), with either redo engine (`redo_workers` 0: per-page rescan, 1:
-/// chains). Page P holds a committed record; loser L overwrites it with
-/// a logical record and never ends; a later commit on page Q forces L's
+/// rule"). Page P holds a committed record; loser L overwrites it with a
+/// logical record and never ends; a later commit on page Q forces L's
 /// record into the durable log; then the node crashes.
-class AdaptiveLoserTest : public ::testing::TestWithParam<std::size_t> {
+class AdaptiveLoserTest : public ::testing::Test {
  protected:
   AdaptiveLoserTest() {
     ClusterOptions opts;
@@ -23,9 +22,7 @@ class AdaptiveLoserTest : public ::testing::TestWithParam<std::size_t> {
     // Two frames: caching Q and then R evicts P.
     opts.node_defaults.buffer_frames = 2;
     opts.node_defaults.logging_policy =
-        LoggingPolicy()
-            .WithStrategy(LogStrategy::kAdaptive)
-            .WithRedoWorkers(GetParam());
+        LoggingPolicy().WithStrategy(LogStrategy::kAdaptive);
     cluster_ = std::make_unique<Cluster>(opts);
     node_ = *cluster_->AddNode();
   }
@@ -73,7 +70,7 @@ class AdaptiveLoserTest : public ::testing::TestWithParam<std::size_t> {
   RecordId rid_;
 };
 
-TEST_P(AdaptiveLoserTest, DurableLogicalLoserIsRedoSkipped) {
+TEST_F(AdaptiveLoserTest, DurableLogicalLoserIsRedoSkipped) {
   RunLoserHistory(/*evict_p=*/false);
   // L's records are durable but were never backfilled: redo skips them,
   // and undo gives L an END record only.
@@ -82,7 +79,7 @@ TEST_P(AdaptiveLoserTest, DurableLogicalLoserIsRedoSkipped) {
   ExpectCommittedValue();
 }
 
-TEST_P(AdaptiveLoserTest, EvictedLogicalLoserIsUndoneFromItsBackfill) {
+TEST_F(AdaptiveLoserTest, EvictedLogicalLoserIsUndoneFromItsBackfill) {
   RunLoserHistory(/*evict_p=*/true);
   // P reached the disk with L's update, so undo rolls L back with the
   // before-images its backfill record carries.
@@ -90,13 +87,6 @@ TEST_P(AdaptiveLoserTest, EvictedLogicalLoserIsUndoneFromItsBackfill) {
   EXPECT_EQ(Stats().losers_undone, 1u);
   ExpectCommittedValue();
 }
-
-std::string EngineName(const ::testing::TestParamInfo<std::size_t>& p) {
-  return p.param == 0 ? "rescan" : "chains";
-}
-
-INSTANTIATE_TEST_SUITE_P(RedoEngines, AdaptiveLoserTest,
-                         ::testing::Values(0u, 1u), EngineName);
 
 }  // namespace
 }  // namespace clog

@@ -211,10 +211,10 @@ TEST(DeterminismTest, TortureHashesMatchPreRefactorBaseline) {
 }
 
 /// The pinned baselines above run with the default LoggingPolicy — all
-/// physical, redo_workers=0 — which is exactly the guarantee adaptive
-/// logging makes: when the policy is off, schedules and traces stay
-/// byte-identical to pre-adaptive builds. Adaptive schedules carry their
-/// own (unpinned) determinism contract instead: one seed, one history.
+/// physical — which is exactly the guarantee adaptive logging makes: when
+/// the policy is off, schedules and traces stay byte-identical to
+/// pre-adaptive builds. Adaptive schedules carry their own (unpinned)
+/// determinism contract instead: one seed, one history.
 TEST(DeterminismTest, AdaptiveTortureSchedulesReplayIdentically) {
   TortureOptions opts;
   opts.seed = 4242;

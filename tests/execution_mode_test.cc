@@ -267,16 +267,14 @@ TEST(ExecutionModeTest, StoppedWorkerRejectsWorkUntilRestart) {
   ASSERT_OK(cluster.Execute(n->id(), [] {}));
 }
 
-/// Adaptive recovery equivalence across engines. Every session writes only
-/// its own pages, so the whole log is self-only histories and restart
-/// recovery takes the chain redo path (one chain per node here, since each
-/// transaction writes both of its node's pages), replayed on the restarting
-/// node's thread in both modes. Both must land on the same committed state,
-/// and both must actually have scheduled chains (the stats prove the chain
-/// engine ran, not the legacy bounce).
+/// Adaptive recovery equivalence across execution modes. Every session
+/// writes only its own pages, so the whole log is self-only histories and
+/// restart recovery redoes each page in one round on its owner's log, on
+/// the restarting node's thread in both modes. Both must land on the same
+/// committed state, and both must actually have redone every owned page.
 std::map<PageId, std::vector<std::string>> RunAdaptiveRecovery(
-    const std::string& dir, ExecutionMode mode, std::uint64_t* chains,
-    std::uint64_t* parallel_pages) {
+    const std::string& dir, ExecutionMode mode,
+    std::uint64_t* own_pages_recovered) {
   constexpr int kNodes = 3;
   constexpr int kPagesPerNode = 2;
   constexpr int kTxnsPerSession = 6;
@@ -284,9 +282,8 @@ std::map<PageId, std::vector<std::string>> RunAdaptiveRecovery(
   ClusterOptions opts;
   opts.dir = dir;
   opts.execution_mode = mode;
-  opts.node_defaults.logging_policy = LoggingPolicy()
-                                          .WithStrategy(LogStrategy::kAdaptive)
-                                          .WithRedoWorkers(1);
+  opts.node_defaults.logging_policy =
+      LoggingPolicy().WithStrategy(LogStrategy::kAdaptive);
   Cluster cluster(opts);
   std::vector<std::vector<PageId>> pages(kNodes);
   for (int i = 0; i < kNodes; ++i) {
@@ -330,11 +327,9 @@ std::map<PageId, std::vector<std::string>> RunAdaptiveRecovery(
   std::vector<NodeId> ids = cluster.NodeIds();
   for (NodeId id : ids) EXPECT_OK(cluster.CrashNode(id));
   EXPECT_OK(cluster.RestartNodes(ids));
-  *chains = 0;
-  *parallel_pages = 0;
+  *own_pages_recovered = 0;
   for (const auto& [id, stats] : cluster.recovery_stats()) {
-    *chains += stats.redo_chains;
-    *parallel_pages += stats.parallel_pages;
+    *own_pages_recovered += stats.own_pages_recovered;
   }
   for (NodeId id : ids) {
     EXPECT_OK(cluster.Execute(id, [&] {
@@ -359,19 +354,15 @@ std::map<PageId, std::vector<std::string>> RunAdaptiveRecovery(
   return out;
 }
 
-TEST(ExecutionModeTest, AdaptiveParallelRedoConvergesAcrossModes) {
+TEST(ExecutionModeTest, AdaptiveRedoConvergesAcrossModes) {
   TempDir sim_dir, real_dir;
-  std::uint64_t sim_chains = 0, sim_pages = 0;
-  std::uint64_t real_chains = 0, real_pages = 0;
+  std::uint64_t sim_pages = 0, real_pages = 0;
   auto sim = RunAdaptiveRecovery(sim_dir.path(), ExecutionMode::kSimulation,
-                                 &sim_chains, &sim_pages);
+                                 &sim_pages);
   auto real = RunAdaptiveRecovery(real_dir.path(),
-                                  ExecutionMode::kRealThreads, &real_chains,
-                                  &real_pages);
+                                  ExecutionMode::kRealThreads, &real_pages);
 
-  // The scheduler ran in both engines, over every owned page.
-  EXPECT_GT(sim_chains, 0u);
-  EXPECT_GT(real_chains, 0u);
+  // Redo ran in both modes, over every owned page.
   EXPECT_EQ(sim_pages, 6u);
   EXPECT_EQ(real_pages, 6u);
 
@@ -384,7 +375,7 @@ TEST(ExecutionModeTest, AdaptiveParallelRedoConvergesAcrossModes) {
     total += records.size();
     ++it;
   }
-  // Every committed insert survived recovery in both engines.
+  // Every committed insert survived recovery in both modes.
   EXPECT_EQ(total, static_cast<std::size_t>(3 * 6 * 2));
 }
 

@@ -177,10 +177,10 @@ TEST_P(HammerRestoreShardTest, ThirtyTwoSeeds) {
 INSTANTIATE_TEST_SUITE_P(Torture, HammerRestoreShardTest,
                          ::testing::Range(0, 2));
 
-/// Adaptive-logging corpus: the cluster policy is kAdaptive with chain
-/// redo on, and the workload mixes per-transaction physical overrides,
-/// so every schedule interleaves logical records,
-/// upgrades, backfills, and skip classification with the usual fault mix.
+/// Adaptive-logging corpus: the cluster policy is kAdaptive, and the
+/// workload mixes per-transaction physical overrides, so every schedule
+/// interleaves logical records, upgrades, backfills, and skip
+/// classification with the usual fault mix.
 /// One shard forces a crash into every repair pass so redo re-enters
 /// mid-recovery on adaptive logs. The sixth invariant (logical records
 /// replay to the same page bytes) is checked by the harness's final
@@ -199,8 +199,7 @@ TEST_P(AdaptiveShardTest, ThirtyTwoSeeds) {
         kAdaptiveSeedsPerShard + i;
     opts.adaptive = true;
     // Shard 1: every repair pass also kills a restarting node at a seeded
-    // phase boundary, so chain redo is re-entered from scratch
-    // mid-recovery.
+    // phase boundary, so redo is re-entered from scratch mid-recovery.
     opts.crash_during_recovery = shard == 1;
     opts.keep_events = false;
     TortureReport report = RunTortureSchedule(opts);
@@ -382,8 +381,8 @@ TEST(TortureSmoke, ElasticSeedsPassAndReplayIdentically) {
 
 TEST(TortureSmoke, AdaptiveSeedsPassAndReplayIdentically) {
   // A couple of adaptive schedules ride in tier1 so the logical-record,
-  // upgrade, and parallel-redo paths are torture-covered in every build,
-  // and the replay contract holds with the mode on.
+  // upgrade, and redo-skip paths are torture-covered in every build, and
+  // the replay contract holds with the mode on.
   for (std::uint64_t seed : {41000ull, 41003ull}) {
     TortureOptions opts;
     opts.seed = seed;

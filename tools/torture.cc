@@ -39,11 +39,10 @@ void Usage(const char* prog) {
                "dies at a seeded phase boundary and must be re-recovered).\n"
                "--group-commit runs every node with commit-force coalescing\n"
                "on; commits park and the harness polls for their acks.\n"
-               "--adaptive runs the cluster under LogStrategy::kAdaptive\n"
-               "with chain redo, mixes per-transaction physical\n"
-               "overrides into the workload, and checks the redo-fidelity\n"
-               "invariant (logical records replay to the same page bytes)\n"
-               "on the final joint recovery.\n"
+               "--adaptive runs the cluster under LogStrategy::kAdaptive,\n"
+               "mixes per-transaction physical overrides into the workload,\n"
+               "and checks the redo-fidelity invariant (logical records\n"
+               "replay to the same page bytes) on the final joint recovery.\n"
                "--media-failure mixes whole-device losses (data and log)\n"
                "into the schedule, runs every node with fuzzy page archives,\n"
                "and checks the archive-consistency and poison-fencing\n"
