@@ -119,34 +119,10 @@ Status Node::PrepareSteal(PageId pid) {
   return Status::OK();
 }
 
-void Node::FillCommitMeta(const Transaction* txn, LogRecord* commit) const {
-  // Physical transactions leave the trailing-optional commit fields empty,
-  // keeping their commit bytes identical to the pre-adaptive format (the
-  // determinism pin in tests/determinism_test.cc depends on this).
-  if (txn->strategy != LogStrategy::kAdaptive) return;
-  if (!txn->upgraded && !txn->logical_undos.empty()) {
-    commit->commit_flags |= kCommitFlagLogical;
-  }
-  for (const auto& [dep_txn, dep_lsn] : txn->commit_deps) {
-    CommitDep d;
-    d.txn = dep_txn;
-    d.lsn = dep_lsn;
-    commit->commit_deps.push_back(d);
-  }
-}
-
-void Node::NoteCommittedPages(const Transaction* txn, Lsn commit_lsn) {
-  if (options_.logging_mode != LoggingMode::kClientLocal) return;
-  for (PageId pid : txn->updated_pages) {
-    page_last_commit_[pid] = CommitDep{txn->id, commit_lsn};
-  }
-}
-
 void Node::ReleaseLogicalState(const Transaction* txn) {
   // Resurrected losers default to kPhysical even when their stash was
   // refilled from a backfill record, so this never underflows the count.
-  if (txn->strategy != LogStrategy::kAdaptive) return;
-  if (!txn->upgraded && !txn->logical_undos.empty()) --live_logical_txns_;
+  if (txn->HoldsLogicalRecords()) --live_logical_txns_;
 }
 
 Status Node::ShipPendingRecords(Transaction* txn, bool force,

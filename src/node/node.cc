@@ -137,10 +137,8 @@ void Node::Crash() {
   recovery_redo_done_ = false;
   parked_owners_.clear();
   // Adaptive-logging volatile state: stashes died with their transactions,
-  // the last-committed-writer hints and the recovery skip set are rebuilt
-  // from the log by the next restart.
+  // and the recovery skip set is rebuilt from the log by the next restart.
   live_logical_txns_ = 0;
-  page_last_commit_.clear();
   recovery_skip_txns_.clear();
   network_->SetNodeUp(id_, false);
   metrics_.GetCounter("node.crashes").Add(1);
@@ -531,14 +529,6 @@ Status Node::LoggedUpdate(Transaction* txn, Page* page, RecordOp op,
   if (!logical && txn->strategy == LogStrategy::kAdaptive && !txn->upgraded) {
     CLOG_RETURN_IF_ERROR(UpgradeTxnToPhysical(txn));
   }
-  if (txn->strategy == LogStrategy::kAdaptive &&
-      options_.logging_mode == LoggingMode::kClientLocal) {
-    // Dependency edge: the last committed writer of this page precedes us.
-    auto dep = page_last_commit_.find(page->id());
-    if (dep != page_last_commit_.end() && dep->second.txn != txn->id) {
-      txn->commit_deps[dep->second.txn] = dep->second.lsn;
-    }
-  }
 
   // The before-image is read after the upgrade above, which can wait, and
   // it views the page: the record is encoded before ApplyRedo changes it.
@@ -748,14 +738,11 @@ Status Node::Commit(TxnId txn_id) {
       commit.type = LogRecordType::kCommit;
       commit.txn = txn_id;
       commit.prev_lsn = txn->last_lsn;
-      FillCommitMeta(txn, &commit);
+      const bool logical = txn->HoldsLogicalRecords();
       Lsn commit_lsn = kNullLsn;
       CLOG_RETURN_IF_ERROR(AppendWithReclaim(commit, &commit_lsn));
       CLOG_RETURN_IF_ERROR(ForceLog(commit_lsn));
-      NoteCommittedPages(txn, commit_lsn);
-      if ((commit.commit_flags & kCommitFlagLogical) != 0) {
-        ctr_txn_commits_logical_->Add(1);
-      }
+      if (logical) ctr_txn_commits_logical_->Add(1);
       LogRecord end;
       end.type = LogRecordType::kEnd;
       end.txn = txn_id;
@@ -833,18 +820,13 @@ Result<bool> Node::CommitRequest(TxnId txn_id) {
   commit.type = LogRecordType::kCommit;
   commit.txn = txn_id;
   commit.prev_lsn = txn->last_lsn;
-  FillCommitMeta(txn, &commit);
+  const bool logical = txn->HoldsLogicalRecords();
   Lsn commit_lsn = kNullLsn;
   CLOG_RETURN_IF_ERROR(AppendWithReclaim(commit, &commit_lsn));
   // Past this point the transaction can no longer abort: its fate is tied
   // to whether the commit record reaches the disk. It is not ACKed either —
-  // it parks until a force covers commit_lsn. Dependency hints may point at
-  // this commit immediately: forces are prefix-ordered, so any successor
-  // commit that becomes durable covers this record too.
-  NoteCommittedPages(txn, commit_lsn);
-  if ((commit.commit_flags & kCommitFlagLogical) != 0) {
-    ctr_txn_commits_logical_->Add(1);
-  }
+  // it parks until a force covers commit_lsn.
+  if (logical) ctr_txn_commits_logical_->Add(1);
   txn->state = TxnState::kCommitting;
   txn->last_lsn = commit_lsn;
   commit_group_.push_back(

@@ -516,15 +516,6 @@ class Node : public NodeService {
   /// forced. One branch when no logical txns live.
   Status PrepareSteal(PageId pid);
 
-  /// Stamps an adaptive transaction's commit record: the logical flag and
-  /// the dependency edges gathered while it ran. No-op (zero bytes added)
-  /// for physical transactions.
-  void FillCommitMeta(const Transaction* txn, LogRecord* commit) const;
-
-  /// Remembers `txn` as the last committed writer of each page it updated
-  /// (dependency-edge source for later adaptive commits).
-  void NoteCommittedPages(const Transaction* txn, Lsn commit_lsn);
-
   /// Transaction-end bookkeeping for the live-logical-txn count.
   void ReleaseLogicalState(const Transaction* txn);
 
@@ -685,12 +676,6 @@ class Node : public NodeService {
   /// un-backfilled logical records. Zero on every physical-only node, so
   /// the steal fence costs one branch.
   std::size_t live_logical_txns_ = 0;
-
-  /// Last committed writer per page (txn id + commit LSN), volatile.
-  /// Adaptive transactions copy the entries for pages they touch into
-  /// their commit record as dependency edges. Maintained only in
-  /// kClientLocal mode; cleared on crash.
-  std::map<PageId, CommitDep> page_last_commit_;
 
   /// Recovery skip set (adaptive logging): transactions whose
   /// kLogicalUpdate records are excluded from redo and PSN lists — they

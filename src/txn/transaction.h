@@ -45,9 +45,9 @@ struct Transaction {
   std::vector<Savepoint> savepoints;
 
   /// Pages this transaction updated, ascending and without duplicates
-  /// (commit processing in the baseline modes forces/ships them; adaptive
-  /// logging records them as the pages' last committed writer). A sorted
-  /// vector: a transaction touches few pages.
+  /// (commit processing in the baseline modes forces/ships them; the
+  /// adaptive steal fence looks pages up in it). A sorted vector: a
+  /// transaction touches few pages.
   std::vector<PageId> updated_pages;
 
   /// Baseline B1 (ship-to-owner) only: log records not yet shipped.
@@ -72,10 +72,13 @@ struct Transaction {
   /// kUndoBackfill record on upgrade; consulted by rollback (and refilled
   /// from the backfill record when a resurrected loser rolls back).
   std::map<Lsn, std::string> logical_undos;
-  /// Committed predecessors whose pages this (adaptive) transaction
-  /// touched: txn id -> commit LSN. Encoded into the commit record so
-  /// dependency-aware redo keeps the chains ordered.
-  std::map<TxnId, Lsn> commit_deps;
+
+  /// True while the transaction's logical records are its only record of
+  /// its updates: adaptive, never upgraded, and with a stash.
+  bool HoldsLogicalRecords() const {
+    return strategy == LogStrategy::kAdaptive && !upgraded &&
+           !logical_undos.empty();
+  }
 };
 
 }  // namespace clog

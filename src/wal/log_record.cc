@@ -153,19 +153,6 @@ void LogRecord::EncodeTo(std::string* out) const {
         enc.PutLengthPrefixed(e.undo_image);
       }
       break;
-    case LogRecordType::kCommit:
-      // Trailing optional block: present only for adaptive transactions,
-      // so commit records from the physical strategy (and older builds)
-      // keep their exact bytes.
-      if (commit_flags != 0 || !commit_deps.empty()) {
-        enc.PutU8(commit_flags);
-        enc.PutVarint64(commit_deps.size());
-        for (const CommitDep& d : commit_deps) {
-          enc.PutU64(d.txn);
-          enc.PutU64(d.lsn);
-        }
-      }
-      break;
     case LogRecordType::kCheckpointEnd:
       enc.PutU64(checkpoint_begin_lsn);
       enc.PutVarint64(dpt.size());
@@ -238,16 +225,8 @@ Status LogRecord::DecodeFrom(Slice body, LogRecord* out) {
       break;
     }
     case LogRecordType::kCommit:
-      if (!dec.Done()) {
-        CLOG_RETURN_IF_ERROR(dec.GetU8(&out->commit_flags));
-        std::uint64_t n = 0;
-        CLOG_RETURN_IF_ERROR(dec.GetVarint64(&n));
-        out->commit_deps.resize(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-          CLOG_RETURN_IF_ERROR(dec.GetU64(&out->commit_deps[i].txn));
-          CLOG_RETURN_IF_ERROR(dec.GetU64(&out->commit_deps[i].lsn));
-        }
-      }
+      // Nothing past the header. Adaptive commits written by older builds
+      // carry a trailing flag and dependency block; it is ignored.
       break;
     case LogRecordType::kCheckpointEnd: {
       CLOG_RETURN_IF_ERROR(dec.GetU64(&out->checkpoint_begin_lsn));
@@ -285,9 +264,6 @@ std::string LogRecord::ToString() const {
   out += " txn=" + std::to_string(txn & 0xFFFFFFFFFFFFull);
   if (type == LogRecordType::kUndoBackfill) {
     out += " covers=" + std::to_string(backfill.size());
-  }
-  if (type == LogRecordType::kCommit && !commit_deps.empty()) {
-    out += " deps=" + std::to_string(commit_deps.size());
   }
   return out;
 }

@@ -78,19 +78,6 @@ struct BackfillEntry {
   friend bool operator==(const BackfillEntry&, const BackfillEntry&) = default;
 };
 
-/// Dependency edge recorded in an adaptive transaction's commit record:
-/// the committed predecessor whose effects this transaction read or
-/// overwrote, so dependency-aware redo keeps their chains ordered.
-struct CommitDep {
-  TxnId txn = kInvalidTxnId;  ///< Predecessor transaction.
-  Lsn lsn = kNullLsn;         ///< Predecessor's commit LSN.
-
-  friend bool operator==(const CommitDep&, const CommitDep&) = default;
-};
-
-/// kCommit flag bits (commit_flags).
-inline constexpr std::uint8_t kCommitFlagLogical = 0x1;  ///< Logged logical.
-
 struct LogRecord;
 
 /// A page update (kUpdate, kLogicalUpdate or kClr) whose images are views,
@@ -142,11 +129,6 @@ struct LogRecord {
 
   // --- kUndoBackfill only ---
   std::vector<BackfillEntry> backfill;
-
-  // --- kCommit only (adaptive logging; both default-empty so commit
-  // records written by the physical strategy keep their exact bytes) ---
-  std::uint8_t commit_flags = 0;
-  std::vector<CommitDep> commit_deps;
 
   // --- kSavepoint only ---
   std::string savepoint_name;

@@ -745,13 +745,11 @@ std::vector<LogRecord> GoldenRecords() {
   backfill.prev_lsn = 700;
   backfill.backfill = {BackfillEntry{650, "old-bytes"}, BackfillEntry{680, ""}};
   recs.push_back(backfill);
-  LogRecord dep_commit;
-  dep_commit.type = LogRecordType::kCommit;
-  dep_commit.txn = MakeTxnId(2, 9);
-  dep_commit.prev_lsn = 720;
-  dep_commit.commit_flags = kCommitFlagLogical;
-  dep_commit.commit_deps = {CommitDep{MakeTxnId(0, 4), 333}};
-  recs.push_back(dep_commit);
+  LogRecord adaptive_commit;
+  adaptive_commit.type = LogRecordType::kCommit;
+  adaptive_commit.txn = MakeTxnId(2, 9);
+  adaptive_commit.prev_lsn = 720;
+  recs.push_back(adaptive_commit);
   return recs;
 }
 
@@ -897,39 +895,10 @@ TEST(LogRecordTest, UndoBackfillBodyMatchesPinnedLayout) {
   EXPECT_EQ(out.backfill, rec.backfill);
 }
 
-TEST(LogRecordTest, CommitWithDepsBodyMatchesPinnedLayout) {
-  LogRecord rec;
-  rec.type = LogRecordType::kCommit;
-  rec.txn = MakeTxnId(3, 5);
-  rec.prev_lsn = 980;
-  rec.commit_flags = kCommitFlagLogical;
-  rec.commit_deps = {CommitDep{MakeTxnId(1, 2), 400},
-                     CommitDep{MakeTxnId(0, 9), 150}};
-  std::string body;
-  rec.EncodeTo(&body);
-
-  std::string want;
-  want.push_back(static_cast<char>(LogRecordType::kCommit));
-  PinU64(&want, MakeTxnId(3, 5));
-  PinU64(&want, 980);
-  want.push_back(kCommitFlagLogical);
-  want.push_back(2);    // varint dep count
-  PinU64(&want, MakeTxnId(1, 2));
-  PinU64(&want, 400);
-  PinU64(&want, MakeTxnId(0, 9));
-  PinU64(&want, 150);
-  EXPECT_EQ(body, want);
-
-  LogRecord out;
-  ASSERT_OK(LogRecord::DecodeFrom(body, &out));
-  EXPECT_EQ(out.commit_flags, kCommitFlagLogical);
-  EXPECT_EQ(out.commit_deps, rec.commit_deps);
-}
-
 TEST(LogRecordTest, PlainCommitKeepsLegacyBytes) {
-  // The trailing block is optional: a commit with no flags and no deps
-  // must encode exactly as it did before adaptive logging existed, so
-  // physical-strategy logs stay byte-identical across the release.
+  // Every commit, adaptive or physical, is the bare header: it encodes
+  // exactly as it did before adaptive logging existed, so physical-strategy
+  // logs stay byte-identical across the release.
   LogRecord rec;
   rec.type = LogRecordType::kCommit;
   rec.txn = MakeTxnId(3, 5);
@@ -945,8 +914,32 @@ TEST(LogRecordTest, PlainCommitKeepsLegacyBytes) {
 
   LogRecord out;
   ASSERT_OK(LogRecord::DecodeFrom(body, &out));
-  EXPECT_EQ(out.commit_flags, 0);
-  EXPECT_TRUE(out.commit_deps.empty());
+  EXPECT_EQ(out.type, LogRecordType::kCommit);
+  EXPECT_EQ(out.txn, rec.txn);
+  EXPECT_EQ(out.prev_lsn, rec.prev_lsn);
+}
+
+TEST(LogRecordTest, CommitWithRetiredTrailingBlockDecodes) {
+  // Adaptive commits written by older builds carry a trailing block: a
+  // flag byte (0x1, logged logical), a varint dependency count, and one
+  // (txn, commit LSN) pair per dependency. Logs holding them still replay:
+  // the block decodes as a plain commit.
+  std::string body;
+  body.push_back(static_cast<char>(LogRecordType::kCommit));
+  PinU64(&body, MakeTxnId(3, 5));
+  PinU64(&body, 980);
+  body.push_back(0x1);  // retired flag: logged logical
+  body.push_back(2);    // varint dependency count
+  PinU64(&body, MakeTxnId(1, 2));
+  PinU64(&body, 400);
+  PinU64(&body, MakeTxnId(0, 9));
+  PinU64(&body, 150);
+
+  LogRecord out;
+  ASSERT_OK(LogRecord::DecodeFrom(body, &out));
+  EXPECT_EQ(out.type, LogRecordType::kCommit);
+  EXPECT_EQ(out.txn, MakeTxnId(3, 5));
+  EXPECT_EQ(out.prev_lsn, 980u);
 }
 
 TEST_F(LogManagerTest, BackwardCursorFollowsTxnChainAndClrSkips) {
