@@ -175,7 +175,11 @@ Result<std::string> Node::DebugPageImage(PageId pid) {
   }
   CLOG_RETURN_IF_ERROR(EnsureRestored(pid));
   if (const Page* cached = pool_.Peek(pid); cached != nullptr) {
-    return std::string(cached->data(), kPageSize);
+    // A cached frame's checksum field is stale until the frame is sealed
+    // on its way out; seal a copy so the image matches its disk form.
+    Page copy(*cached);
+    copy.SealChecksum();
+    return std::string(copy.data(), kPageSize);
   }
   Page tmp;
   CLOG_RETURN_IF_ERROR(ReadDurablePage(pid, &tmp));

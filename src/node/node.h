@@ -360,9 +360,10 @@ class Node : public NodeService {
   /// debugging and the tools.
   std::string DebugString() const;
 
-  /// Raw bytes of the newest local version of own page `pid` (cached frame
-  /// if present, else disk). Torture uses this for the adaptive-logging
-  /// invariant: post-recovery page bytes must equal the pre-crash bytes.
+  /// Bytes of the newest local version of own page `pid`, checksum sealed
+  /// (a sealed copy of the cached frame if present, else the disk image).
+  /// Torture uses this for the adaptive-logging invariant: two recoveries
+  /// of one log must rebuild the same page bytes.
   Result<std::string> DebugPageImage(PageId pid);
 
  private:
