@@ -73,8 +73,9 @@ struct Transaction {
   /// from the backfill record when a resurrected loser rolls back).
   std::map<Lsn, std::string> logical_undos;
 
-  /// True while the transaction's logical records are its only record of
-  /// its updates: adaptive, never upgraded, and with a stash.
+  /// True while some of the transaction's updates are logged only as
+  /// logical records, their undo images held in the stash: adaptive, never
+  /// upgraded, and with a stash.
   bool HoldsLogicalRecords() const {
     return strategy == LogStrategy::kAdaptive && !upgraded &&
            !logical_undos.empty();
